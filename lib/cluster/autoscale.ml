@@ -19,18 +19,14 @@ type config = {
   policy : policy;
   interval : Time.t;
   hot_threshold : float;
-  min_weight : int;
 }
 
-let config ?(policy = Auto) ?(interval = Time.s 1.) ?(hot_threshold = 1.5)
-    ?(min_weight = 1) () =
+let config ?(policy = Auto) ?(interval = Time.s 1.) ?(hot_threshold = 1.5) () =
   if Time.compare interval Time.zero <= 0 then
     invalid_arg "Autoscale.config: --scale-interval must be positive";
   if hot_threshold <= 1. then
     invalid_arg "Autoscale.config: --hot-threshold must exceed 1";
-  if min_weight < 1 || min_weight > Router.virtual_points then
-    invalid_arg "Autoscale.config: min_weight must be in [1, 32]";
-  { policy; interval; hot_threshold; min_weight }
+  { policy; interval; hot_threshold }
 
 let tick_instants cfg ~duration =
   let iv = Time.to_ns cfg.interval in
@@ -69,7 +65,7 @@ let decide cfg ~weights ~alive ~loads =
       if alive.(m) then
         if loads.(m) > cfg.hot_threshold *. mean then begin
           hot := m :: !hot;
-          out.(m) <- Stdlib.max cfg.min_weight (weights.(m) / 2)
+          out.(m) <- Stdlib.max 1 (weights.(m) / 2)
         end
         else if
           loads.(m) < mean /. cfg.hot_threshold

@@ -50,22 +50,17 @@ type config = {
       (** A machine is hot when its measured load exceeds
           [hot_threshold ×] the mean over alive machines; cool (and
           eligible to regrow) below [mean / hot_threshold]. *)
-  min_weight : int;
-      (** Floor for a machine's ring weight — a hot machine is never
-          shed below this many virtual points. *)
 }
 
 val config :
   ?policy:policy ->
   ?interval:Sea_sim.Time.t ->
   ?hot_threshold:float ->
-  ?min_weight:int ->
   unit ->
   config
-(** Defaults: auto policy, 1 s interval, 1.5× hot threshold, min
-    weight 1. Raises [Invalid_argument] unless [interval > 0],
-    [hot_threshold > 1] (the hysteresis band must be non-empty) and
-    [min_weight] in [\[1, Router.virtual_points]]. *)
+(** Defaults: auto policy, 1 s interval, 1.5× hot threshold. Raises
+    [Invalid_argument] unless [interval > 0] and [hot_threshold > 1]
+    (the hysteresis band must be non-empty). *)
 
 val tick_instants : config -> duration:Sea_sim.Time.t -> Sea_sim.Time.t list
 (** The controller's sampling instants inside the serving window:
@@ -84,8 +79,8 @@ val decide :
 (** One control-loop tick, pure: given the current ring weights, which
     machines are alive, and each machine's measured load (offered
     requests per second since the last tick), return the new weights.
-    A hot machine's weight halves (floored at [min_weight]); an alive
-    machine measured below [mean / hot_threshold] doubles back (capped
-    at {!Router.virtual_points}). Dead machines keep their weight and
-    are excluded from the mean. A fleet with zero mean load makes no
-    change. *)
+    A hot machine's weight halves (floored at 1, so it stays on the
+    ring); an alive machine measured below [mean / hot_threshold]
+    doubles back (capped at {!Router.virtual_points}). Dead machines
+    keep their weight and are excluded from the mean. A fleet with zero
+    mean load makes no change. *)

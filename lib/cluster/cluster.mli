@@ -36,20 +36,29 @@
     with a virtual-time heartbeat detector: a machine that misses
     [dead_after] consecutive heartbeats is declared dead, its queue is
     drained, and its tenants re-route over the consistent-hash ring
-    minus the dead node ({!Router.reroute}). In proposed mode each
+    minus the dead node ({!Router.make_ring}). In proposed mode each
     displaced tenant's resident PALs fail over by sealed-state migration
     ({!Migrate.failover}); requests offered to a machine that is down
     but not yet (or never, with failover off) detected are black-holed
     and accounted offered-and-failed.
 
-    The serving window is cut into epochs at the instants machine
-    availability or routing belief changes; within an epoch every
-    machine's serve is self-contained, so the epochs shard across
-    domains exactly like a churn-free run and the merged report stays
-    byte-identical across shard counts. All cross-machine work
-    (detection, migration) happens between epochs on the calling domain
-    in machine-index order. A run without [?churn] takes the historical
-    code path unchanged. *)
+    {2 One orchestration loop}
+
+    Every run takes the same path. The serving window is cut into
+    epochs at every instant machine availability, routing belief, the
+    autoscaler's control loop or a workload shape changes (a run with
+    none of these is one epoch), and each epoch runs these phases:
+
+    + {b control tick} — autoscale load sampling and ring resizing;
+    + {b placement} — route every tenant, around machines detected dead;
+    + {b barrier moves} — heartbeat-miss traces, failover, rebalancing;
+    + {b sharded serve} — every machine's share, across domains;
+    + {b collect} — the epoch's reports, in machine order.
+
+    Within an epoch every machine's serve is self-contained, so the
+    merged report is byte-identical across shard counts; all
+    cross-machine work happens at the barriers on the calling domain, in
+    machine-index order. *)
 
 type config = {
   machines : int;
@@ -69,23 +78,13 @@ type churn_config = {
   failover : bool;
       (** [true]: detect, re-route and migrate; [false]: machines fail
           in place and their traffic black-holes for the outage. *)
-  heartbeat : Sea_sim.Time.t;  (** Heartbeat tick interval. *)
-  dead_after : int;
-      (** Consecutive missed heartbeats before a machine is declared
-          dead. Detection latency is
-          [heartbeat * dead_after] (to the next tick). *)
 }
 
 val churn :
-  ?failover:bool ->
-  ?heartbeat:Sea_sim.Time.t ->
-  ?dead_after:int ->
-  Sea_fault.Machine_fault.spec ->
-  unit ->
-  churn_config
-(** Defaults: failover on, 100 ms heartbeat, dead after 3 misses.
-    Raises [Invalid_argument] unless [heartbeat > 0] and
-    [dead_after >= 1]. *)
+  ?failover:bool -> Sea_fault.Machine_fault.spec -> unit -> churn_config
+(** Default: failover on. The detector's heartbeat ticks every 100 ms
+    and declares a machine dead at its third consecutive miss, so
+    detection takes 300 ms (to the next tick). *)
 
 val run :
   ?seed:int64 ->
@@ -104,9 +103,7 @@ val run :
 
     [serve] is the per-machine serving configuration. Its [faults] spec,
     if any, is re-seeded per machine from the spec's own seed so fault
-    schedules are machine-independent; its [retry] policy must be unset
-    ([Error] otherwise — a retry policy carries mutable counters that
-    must not be shared across machines; each machine builds its own).
+    schedules are machine-independent.
 
     [trace], when given, supplies machine [i]'s private sink; the sink
     is installed around that machine's serve only (in whichever domain
@@ -126,11 +123,10 @@ val run :
     a shared barrier, and a tenant displaced by a machine death is the
     failover path's job, never double-moved by the controller.
 
-    A tenant list with non-steady {!Sea_serve.Workload.shape}s also
-    takes the epoch path (even without [churn] or [autoscale]): the
-    window is cut at each shape's step instants plus a sampling grid
-    for continuous shapes, and every epoch serves each tenant's rate
-    specialized to the epoch's start instant.
+    Non-steady {!Sea_serve.Workload.shape}s cut the window at each
+    shape's step instants plus a sampling grid for continuous shapes,
+    and every epoch serves each tenant's rate specialized to the
+    epoch's start instant.
 
     Raises [Invalid_argument] on an empty tenant list. [Error] surfaces
     the first failing machine by index. *)

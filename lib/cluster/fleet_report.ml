@@ -219,23 +219,8 @@ let pp fmt t =
   Format.fprintf fmt
     "PAL launches: %d cold, %d warm  evictions %d  sePCR waits %d"
     t.cold_starts t.warm_hits t.evictions t.sepcr_waits;
-  (* Like the per-machine report, the vtpm line renders only when a
-     multiplexer served the fleet, and carries only batch-size-invariant
-     counters. *)
-  (match t.vtpm with
-  | Some v ->
-      Format.fprintf fmt
-        "@,vtpm: %d instances  extends %d  seals %d  unseals %d  resets %d"
-        v.Report.instances v.Report.extends v.Report.seals v.Report.unseals
-        v.Report.resets
-  | None -> ());
-  (* Like the per-machine report, the cost line renders only when the
-     cost discipline was active. *)
-  (match t.cost_budget with
-  | Some b ->
-      Format.fprintf fmt "@,cost admission: budget %d us/tenant  cost shed %d"
-        b t.cost_shed
-  | None -> ());
+  Report.pp_optional_lines fmt ~vtpm:t.vtpm ~cost_budget:t.cost_budget
+    ~cost_shed:t.cost_shed;
   (* The churn lines render only when a machine-fault plan drove the
      run, so churn-free fleet reports are byte-identical to the
      pre-churn layout. *)

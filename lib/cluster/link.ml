@@ -1,35 +1,25 @@
 open Sea_sim
 
-type t = {
-  latency : Time.t;
-  bytes_per_us : int;
-  loss : float;
-  rng : Rng.t;
-  mutable sends : int;
-  mutable drops : int;
-  mutable bytes : int;
-}
+type t = { loss : float; rng : Rng.t; mutable drops : int }
 
-let create ?(latency = Time.us 50.) ?(bytes_per_us = 125) ?(loss = 0.) rng =
-  if Time.compare latency Time.zero < 0 then
-    invalid_arg "Link.create: latency must be non-negative";
-  if bytes_per_us < 1 then
-    invalid_arg "Link.create: bytes_per_us must be positive";
+(* The wire: 50 us one-way latency, 125 bytes/us (~1 Gbit/s). *)
+let latency = Time.us 50.
+let bytes_per_us = 125
+
+let create ?(loss = 0.) rng =
   if not (loss >= 0. && loss <= 1.) then
     invalid_arg "Link.create: loss must be in [0, 1]";
-  { latency; bytes_per_us; loss; rng = Rng.split rng; sends = 0; drops = 0;
-    bytes = 0 }
+  { loss; rng = Rng.split rng; drops = 0 }
 
-let transfer_time t ~bytes =
-  Time.add t.latency (Time.us (float_of_int bytes /. float_of_int t.bytes_per_us))
+let transfer_time ~bytes =
+  Time.add latency (Time.us (float_of_int bytes /. float_of_int bytes_per_us))
 
 let send t engine payload =
   let bytes = String.length payload in
-  t.sends <- t.sends + 1;
   (* A dropped message burns its timeout (one full transfer time) before
      the sender can tell; a delivered one burns the transfer time. Either
      way the receiving engine's clock pays for the attempt. *)
-  Engine.advance engine (transfer_time t ~bytes);
+  Engine.advance engine (transfer_time ~bytes);
   if t.loss > 0. && Rng.float t.rng 1.0 < t.loss then begin
     t.drops <- t.drops + 1;
     Sea_trace.Trace.instant engine ~cat:"churn"
@@ -37,11 +27,6 @@ let send t engine payload =
       "link-drop";
     Error (Sea_fault.Fault.transient "link: message lost in transfer")
   end
-  else begin
-    t.bytes <- t.bytes + bytes;
-    Ok ()
-  end
+  else Ok ()
 
-let sends t = t.sends
 let drops t = t.drops
-let bytes t = t.bytes

@@ -148,9 +148,7 @@ let failover ~source ~target ~link ?(source_alive = true)
                           | Ok `Finished | Error _ ->
                               cold ~torn:true ~link_retries))))))
 
-let dispose r =
-  ignore (Slaunch_session.kill r.target);
-  Slaunch_session.release r.target
+let dispose r = backout r.target
 
 (* Kill-and-respawn rebalancing (the autoscaler's "spread" policy): the
    source resident is simply discarded and a fresh one launches on the

@@ -16,9 +16,6 @@ let policy_name = function
   | Least_loaded -> "least-loaded"
   | Cost_weighted -> "cost-weighted"
 
-let policy_of_name name =
-  List.assoc_opt (String.lowercase_ascii (String.trim name)) policies
-
 (* FNV-1a, 64-bit: a stable string hash under our control, so routing
    does not shift with the compiler's [Hashtbl.hash] across versions. *)
 let fnv1a s =
@@ -56,22 +53,6 @@ let ucompare a b = Int64.unsigned_compare a b
 
 let virtual_points = 32
 
-(* The ring: [virtual_points] positions per machine, sorted by hash. A
-   tenant lands on the first point at or clockwise of its own hash. *)
-let ring machines =
-  let points = Array.make (machines * virtual_points) (0L, 0) in
-  for m = 0 to machines - 1 do
-    for v = 0 to virtual_points - 1 do
-      points.((m * virtual_points) + v) <-
-        (ring_key (Printf.sprintf "machine:%d:%d" m v), m)
-    done
-  done;
-  Array.sort
-    (fun (h1, m1) (h2, m2) ->
-      match ucompare h1 h2 with 0 -> compare m1 m2 | c -> c)
-    points;
-  points
-
 let ring_lookup points h =
   (* First point with hash >= h, wrapping to the ring's start. *)
   let n = Array.length points in
@@ -85,8 +66,10 @@ let ring_lookup points h =
   let i = search 0 n in
   snd points.(if i = n then 0 else i)
 
-(* The same ring restricted to the surviving machine indices, each at a
-   capacity weight in [1, virtual_points]: machine [m] at weight [w]
+(* The ring: virtual points sorted by hash, and a tenant lands on the
+   first point at or clockwise of its own hash. It spans the given
+   machine indices, each at a capacity weight in [1, virtual_points]
+   (full weight by default): machine [m] at weight [w]
    contributes its first [w] canonical point hashes, unchanged. This is
    the consistent-hashing stability both failover and autoscale ring
    resizing depend on: removing a machine, or shrinking one machine's
@@ -128,9 +111,6 @@ let make_ring ?weights alive =
 let lookup ring (t : Workload.tenant) =
   ring_lookup ring (ring_key t.Workload.name)
 
-let reroute ?weights ~alive (t : Workload.tenant) =
-  lookup (make_ring ?weights alive) t
-
 let offered_rate (t : Workload.tenant) =
   match t.Workload.process with
   | Workload.Open_loop { rate_per_s } -> rate_per_s
@@ -157,12 +137,8 @@ let assign policy ~machines tenants =
   match policy with
   | Round_robin -> Array.init (List.length tenants) (fun i -> i mod machines)
   | Hash_tenant ->
-      let points = ring machines in
-      Array.of_list
-        (List.map
-           (fun (t : Workload.tenant) ->
-             ring_lookup points (ring_key t.Workload.name))
-           tenants)
+      let ring = make_ring (List.init machines Fun.id) in
+      Array.of_list (List.map (lookup ring) tenants)
   | Least_loaded | Cost_weighted ->
       let load = Array.make machines 0. in
       let pick () =

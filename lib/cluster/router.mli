@@ -35,8 +35,6 @@ val policies : (string * policy) list
 
 val policy_name : policy -> string
 
-val policy_of_name : string -> policy option
-
 val offered_rate : Sea_serve.Workload.tenant -> float
 (** The load estimate [Least_loaded] balances on: requests/second for an
     open-loop tenant; for a closed-loop tenant, clients divided by mean
@@ -70,21 +68,11 @@ val make_ring : ?weights:int array -> int list -> ring
     points (and growing only restores them), a resize moves exactly the
     tenants on the affected arcs — the stability bound the autoscaler's
     regression test pins at ≤ 2/N moved per single-machine resize.
+    The same holds for failover, which looks displaced tenants up on
+    the ring over the survivors: only the dead machine's arcs move.
     Raises [Invalid_argument] on an empty list, an index outside
     [weights], or a weight outside [\[1, virtual_points]]. *)
 
 val lookup : ring -> Sea_serve.Workload.tenant -> int
 (** The tenant's home machine: the first ring point at or clockwise of
     the FNV-1a hash of its name. *)
-
-val reroute :
-  ?weights:int array -> alive:int list -> Sea_serve.Workload.tenant -> int
-(** Failover routing: the tenant's home on the consistent-hash ring
-    restricted to the [alive] machine indices (at the given capacity
-    weights, default full). Survivors keep their original virtual
-    points, so removing a dead machine moves only the tenants whose
-    arcs it owned — regardless of which policy produced the original
-    assignment, displaced tenants spread over survivors proportionally
-    to ring ownership. Equivalent to
-    [lookup (make_ring ?weights alive)]. Raises [Invalid_argument] on
-    an empty survivor list. *)

@@ -57,7 +57,6 @@ let create ~discipline ~depth ~weights =
   }
 
 let length t = t.length
-let tenant_length t i = t.tenant_lengths.(i)
 let high_water t = t.high_water
 let tenant_high_water t i = t.tenant_high_water.(i)
 let cost_shed t = t.cost_shed

@@ -45,6 +45,5 @@ val cost_shed : 'a t -> int
 (** Offers turned away by the [Cost] budget (not by queue depth). *)
 
 val length : 'a t -> int
-val tenant_length : 'a t -> int -> int
 val high_water : 'a t -> int
 val tenant_high_water : 'a t -> int -> int

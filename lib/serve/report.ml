@@ -53,7 +53,7 @@ type t = {
 
 let window_s t = Time.to_ms t.window /. 1000.
 
-(* --- merge hooks (used by the fleet layer, [Sea_cluster]) --- *)
+(* --- merge hooks (the machine aggregate, and the fleet layer) --- *)
 
 let merge_rows ~tenant rows =
   match rows with
@@ -208,6 +208,25 @@ let pp_row t fmt row =
     row.failed (goodput_per_s t row) Stats.pp_percentiles row.latency_ms
     row.queue_high_water
 
+(* The vTPM line appears only when a multiplexer was in front of the
+   hardware TPM, so non-vTPM reports render exactly as before it existed.
+   Only batch-size-invariant counters appear here: flush and
+   batch-occupancy counts live in the trace ("vtpm" category), keeping
+   the render byte-identical across [--vtpm-batch] settings. The
+   cost-admission line likewise appears only under the cost discipline. *)
+let pp_optional_lines fmt ~vtpm ~cost_budget ~cost_shed =
+  (match vtpm with
+  | Some v ->
+      Format.fprintf fmt
+        "@,vtpm: %d instances  extends %d  seals %d  unseals %d  resets %d"
+        v.instances v.extends v.seals v.unseals v.resets
+  | None -> ());
+  match cost_budget with
+  | Some b ->
+      Format.fprintf fmt "@,cost admission: budget %d us/tenant  cost shed %d"
+        b cost_shed
+  | None -> ()
+
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>serve: %s on %s  cores %d  queue %s depth %d  window %a@,"
@@ -226,24 +245,8 @@ let pp fmt t =
     "PAL launches: %d cold, %d warm  evictions %d  sePCR waits %d (%a)"
     t.cold_starts t.warm_hits t.evictions t.sepcr_waits Stats.pp_percentiles
     t.sepcr_wait_ms;
-  (* The vTPM line appears only when a multiplexer was in front of the
-     hardware TPM, so non-vTPM reports render exactly as before it
-     existed. Only batch-size-invariant counters appear here: flush and
-     batch-occupancy counts live in the trace ("vtpm" category), keeping
-     the render byte-identical across [--vtpm-batch] settings. *)
-  (match t.vtpm with
-  | Some v ->
-      Format.fprintf fmt
-        "@,vtpm: %d instances  extends %d  seals %d  unseals %d  resets %d"
-        v.instances v.extends v.seals v.unseals v.resets
-  | None -> ());
-  (* The cost-admission line appears only under the cost discipline, so
-     fifo/weighted reports render exactly as before it existed. *)
-  (match t.cost_budget with
-  | Some b ->
-      Format.fprintf fmt "@,cost admission: budget %d us/tenant  cost shed %d"
-        b t.cost_shed
-  | None -> ());
+  pp_optional_lines fmt ~vtpm:t.vtpm ~cost_budget:t.cost_budget
+    ~cost_shed:t.cost_shed;
   (* The robustness lines appear only when something robustness-related
      actually happened, so fault-free reports render exactly as before
      this machinery existed. *)

@@ -80,8 +80,8 @@ type t = {
 }
 
 val merge_rows : tenant:string -> row list -> row
-(** Combine accounting rows from independent runs (one machine's
-    aggregate each, in a fleet) into one row labelled [tenant]: counters
+(** Combine accounting rows (a machine's tenants, or one aggregate per
+    machine in a fleet) into one row labelled [tenant]: counters
     and weights sum, latency samples are merged exactly (in list order,
     via {!Sea_sim.Stats.merge}) so percentiles of the result are true
     cross-run percentiles, and the queue high-water mark is the max.
@@ -112,6 +112,15 @@ val robustness_active : t -> bool
     machinery. *)
 
 val goodput_per_s : t -> row -> float
+val pp_optional_lines :
+  Format.formatter ->
+  vtpm:vtpm_stats option ->
+  cost_budget:int option ->
+  cost_shed:int ->
+  unit
+(** The vTPM and cost-admission lines, each rendered only when that
+    layer was active; shared with the fleet report. *)
+
 val pp : Format.formatter -> t -> unit
 val render : t -> string
 (** The full report as a string; identical seeds and configuration give

@@ -56,13 +56,11 @@ type config = {
   preemption_timer : Sea_sim.Time.t;  (** Slice budget ([Proposed]). *)
   faults : Sea_fault.Fault.spec option;
       (** Deterministic fault plan injected at the TPM/LPC boundary for
-          the serving window (installed after bootstrap). *)
-  retry : Sea_fault.Retry.policy option;
-      (** Retry policy around the hardware path; defaults to
-          [Sea_fault.Retry.policy ()] whenever [faults] is set. *)
-  breaker : Breaker.config option;
-      (** Per-(tenant, kind) circuit breakers; default on (with
-          {!Breaker.config} defaults) whenever [faults] is set. *)
+          the serving window (installed after bootstrap). Faults come
+          with their recovery: a run with [faults] set also retries the
+          hardware path ({!Sea_fault.Retry.policy} defaults) and guards
+          every (tenant, kind) stream with a circuit breaker
+          ({!Breaker.config} defaults); a run without has neither. *)
   vtpm : int option;
       (** Multiplex this many virtual TPMs over the machine's hardware
           TPM ([Sea_vtpm]); every session — bootstrap included — then
@@ -84,8 +82,6 @@ val config :
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?preemption_timer:Sea_sim.Time.t ->
   ?faults:Sea_fault.Fault.spec ->
-  ?retry:Sea_fault.Retry.policy ->
-  ?breaker:Breaker.config ->
   ?vtpm:int ->
   ?vtpm_batch:int ->
   mode:mode ->

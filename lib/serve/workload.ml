@@ -10,12 +10,6 @@ let kind_name = function
   | Ca_sign -> "ca-sign"
   | Kv_update -> "kv-update"
 
-let kind_of_name = function
-  | "ssh-auth" -> Some Ssh_auth
-  | "ca-sign" -> Some Ca_sign
-  | "kv-update" -> Some Kv_update
-  | _ -> None
-
 let kind_index = function Ssh_auth -> 0 | Ca_sign -> 1 | Kv_update -> 2
 
 (* Each kind's measured bytes are a real PALVM program, zero-padded to
@@ -148,11 +142,6 @@ type shape =
   | Steady
   | Diurnal of { period : Time.t; trough : float }
   | Flash of { at : Time.t; width : Time.t; spike : float }
-
-let shape_name = function
-  | Steady -> "steady"
-  | Diurnal _ -> "diurnal"
-  | Flash _ -> "flash"
 
 let validate_shape = function
   | Steady -> ()

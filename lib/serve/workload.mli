@@ -25,7 +25,6 @@ type kind = Ssh_auth | Ca_sign | Kv_update
 
 val kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 val kind_index : kind -> int
 
 val pal : kind -> Sea_core.Pal.t
@@ -92,9 +91,6 @@ type shape =
   | Flash of { at : Sea_sim.Time.t; width : Sea_sim.Time.t; spike : float }
       (** Flash crowd: a step to [spike ×] the base rate on
           [\[at, at + width)]. Requires [width > 0] and [spike > 0]. *)
-
-val shape_name : shape -> string
-(** [steady], [diurnal] or [flash]. *)
 
 val shape_multiplier : shape -> Sea_sim.Time.t -> float
 (** The rate multiplier at a virtual instant. Pure. *)
