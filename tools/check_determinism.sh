@@ -9,6 +9,12 @@
 # wall time), gated at SEA_MIN_SPEEDUP (default 2.0; set 0 to skip on
 # oversubscribed machines).
 #
+# A change that moves both renders of a pair alike passes those diffs,
+# so the end of the script also checks every 1-shard render it produced
+# against its pinned SHA-256 in tools/determinism.sha256. A model change
+# that moves a render re-captures it in the same commit:
+#   sha256sum fleet-*-s1.txt >tools/determinism.sha256   (after a full run)
+#
 # Usage: tools/check_determinism.sh [all|shards|cost|vtpm|churn|autoscale]
 #
 # Run it from anywhere; it cds to the repo root. In CI wrap it with
@@ -141,5 +147,8 @@ if want autoscale; then
     echo "$mode: autoscaling fleet report byte-identical across shard counts"
   done
 fi
+
+# --ignore-missing: a filtered run checks only the renders it produced.
+sha256sum -c --ignore-missing tools/determinism.sha256
 
 echo "determinism gate passed ($filter)"
