@@ -16,8 +16,8 @@ type result_t = {
    the PAL parks in [Suspend] like any serve-loop resident (without the
    timer the slice would run the image to completion instead of
    yielding). *)
-let launch_suspended m ?retry ~preemption_timer pal =
-  match Slaunch_session.start m ~cpu:0 ?retry ~preemption_timer pal ~input:"" with
+let launch_suspended m ~preemption_timer pal =
+  match Slaunch_session.start m ~cpu:0 ~preemption_timer pal ~input:"" with
   | Error e -> Error e
   | Ok s -> (
       match Slaunch_session.run_slice s ~cpu:0 () with
@@ -63,19 +63,18 @@ let failover ~source ~target ~link ?(source_alive = true)
   let blob =
     if (not source_alive) && not blob_available then None
     else
-      let retry = Sea_fault.Retry.policy () in
-      match launch_suspended source ~retry ~preemption_timer pal with
+      match launch_suspended source ~preemption_timer pal with
       | Error _ -> None
       | Ok s -> (
           let sealed =
             match Slaunch_session.sepcr_handle s with
             | None -> None
             | Some h -> (
+                let tpm = Machine.tpm_exn source in
                 match
-                  Sea_fault.Retry.run ~policy:retry
-                    ~engine:(Machine.engine source) (fun () ->
-                      Tpm.seal (Machine.tpm_exn source) ~caller:(Tpm.Cpu 0)
-                        ~sepcr:h ~pcr_policy:[] state_payload)
+                  Tpm.retrying tpm (fun () ->
+                      Tpm.seal tpm ~caller:(Tpm.Cpu 0) ~sepcr:h ~pcr_policy:[]
+                        state_payload)
                 with
                 | Ok blob -> Some blob
                 | Error _ -> None)
@@ -114,7 +113,8 @@ let failover ~source ~target ~link ?(source_alive = true)
       | Some blob -> (
           (* 3. Ship the blob over the lossy link with bounded backoff;
              every attempt (dropped or delivered) charges the target's
-             clock. *)
+             clock. Link loss is not a TPM fault, so the sends keep a
+             policy of their own. *)
           let policy = Sea_fault.Retry.policy () in
           let sent =
             Sea_fault.Retry.run ~policy ~engine:target_engine (fun () ->

@@ -60,7 +60,6 @@ type t = {
     cpu:int ->
     ?preemption_timer:Time.t ->
     ?analyze:Sea_analysis.Analyzer.gate ->
-    ?retry:Sea_fault.Retry.policy ->
     ?tpm_cap:Sea_tpm.Cap.t ->
     Pal.t ->
     input:string ->
@@ -70,7 +69,6 @@ type t = {
     cpu:int ->
     ?preemption_timer:Time.t ->
     ?analyze:Sea_analysis.Analyzer.gate ->
-    ?retry:Sea_fault.Retry.policy ->
     ?tpm_cap:Sea_tpm.Cap.t ->
     Pal.t ->
     input:string ->
@@ -80,9 +78,9 @@ type t = {
 (* Drive a resident instance to completion: the preemption loop one-shot
    execution shares with the serving layer, so a yielding image means
    "resume and keep going", not an error. *)
-let drive_oneshot launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap
-    pal ~input =
-  match launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input with
+let drive_oneshot launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal
+    ~input =
+  match launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input with
   | Error e -> Error e
   | Ok inst ->
       let rec go () =
@@ -119,26 +117,24 @@ let current =
     pool = (fun _ -> 0);
     extra_cost = no_extra_cost;
     oneshot =
-      (fun m ~cpu ?preemption_timer:_ ?analyze ?retry ?tpm_cap pal ~input ->
-        match Session.execute m ~cpu ?analyze ?retry ?tpm_cap pal ~input with
+      (fun m ~cpu ?preemption_timer:_ ?analyze ?tpm_cap pal ~input ->
+        match Session.execute m ~cpu ?analyze ?tpm_cap pal ~input with
         | Ok o -> Ok o.Session.output
         | Error e -> Error e);
     launch =
-      (fun _ ~cpu:_ ?preemption_timer:_ ?analyze:_ ?retry:_ ?tpm_cap:_ _
-           ~input:_ -> Error "current hw hosts no resident PALs");
+      (fun _ ~cpu:_ ?preemption_timer:_ ?analyze:_ ?tpm_cap:_ _ ~input:_ ->
+        Error "current hw hosts no resident PALs");
   }
 
 (* --- Proposed hardware: resident SLAUNCH sessions, sePCR-bound --- *)
 
-let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
-    ~input =
+let proposed_launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input =
   match
-    Slaunch_session.start m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap
-      pal ~input
+    Slaunch_session.start m ~cpu ?preemption_timer ?analyze ?tpm_cap pal
+      ~input
   with
   | Error e -> Error e
   | Ok s ->
-      let engine = m.Machine.engine in
       Ok
         {
           kind = Proposed;
@@ -159,7 +155,7 @@ let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
               | Some h -> (
                   let tpm = Machine.tpm_exn m in
                   match
-                    Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                    Sea_tpm.Tpm.retrying tpm (fun () ->
                         Sea_tpm.Tpm.seal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
                           ~sepcr:h ~pcr_policy:[] tag)
                   with
@@ -172,7 +168,7 @@ let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
               | Some h -> (
                   let tpm = Machine.tpm_exn m in
                   match
-                    Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                    Sea_tpm.Tpm.retrying tpm (fun () ->
                         Sea_tpm.Tpm.unseal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
                           ~sepcr:h blob)
                   with
@@ -196,18 +192,17 @@ let proposed =
     pool = (fun m -> m.Machine.config.Machine.sepcr_count);
     extra_cost = no_extra_cost;
     oneshot =
-      (fun m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input ->
+      (fun m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input ->
         drive_oneshot proposed_launch m ~cpu ?preemption_timer ?analyze
-          ?retry ?tpm_cap pal ~input);
+          ?tpm_cap pal ~input);
     launch = proposed_launch;
   }
 
 (* --- Software fault isolation: no late launch, no sePCR scarcity --- *)
 
-let sfi_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input =
+let sfi_launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input =
   match
-    Sfi_session.start m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
-      ~input
+    Sfi_session.start m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input
   with
   | Error e -> Error e
   | Ok s ->
@@ -252,9 +247,9 @@ let sfi =
       | Op_seal -> p.Sfi_session.seal_base
       | Op_unseal -> p.Sfi_session.unseal_base);
     oneshot =
-      (fun m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input ->
-        drive_oneshot sfi_launch m ~cpu ?preemption_timer ?analyze ?retry
-          ?tpm_cap pal ~input);
+      (fun m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input ->
+        drive_oneshot sfi_launch m ~cpu ?preemption_timer ?analyze ?tpm_cap
+          pal ~input);
     launch = sfi_launch;
   }
 

@@ -92,7 +92,6 @@ type t = {
     cpu:int ->
     ?preemption_timer:Sea_sim.Time.t ->
     ?analyze:Sea_analysis.Analyzer.gate ->
-    ?retry:Sea_fault.Retry.policy ->
     ?tpm_cap:Sea_tpm.Cap.t ->
     Pal.t ->
     input:string ->
@@ -106,7 +105,6 @@ type t = {
     cpu:int ->
     ?preemption_timer:Sea_sim.Time.t ->
     ?analyze:Sea_analysis.Analyzer.gate ->
-    ?retry:Sea_fault.Retry.policy ->
     ?tpm_cap:Sea_tpm.Cap.t ->
     Pal.t ->
     input:string ->

@@ -43,8 +43,8 @@ let suspend_cost (m : Machine.t) =
 
 let resume_cost = Time.us 30.
 
-let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?retry
-    ?tpm_cap pal ~input =
+let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?tpm_cap
+    pal ~input =
   match
     (* Analyzed before the OS is suspended, pages claimed or the TPM
        touched: an image the gate refuses is never measured. *)
@@ -81,7 +81,7 @@ let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?retry
          the measurement is always rebuilt from a fresh TPM_HASH_START. *)
       let t0 = Engine.now engine in
       (match
-         Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+         Sea_tpm.Tpm.retrying tpm (fun () ->
              Insn.late_launch m ~cpu ~pages ~length:(Pal.code_size pal))
        with
       | Error e ->
@@ -119,12 +119,12 @@ let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?retry
               Pal.seal =
                 (fun data ->
                   timed seal_time (fun () ->
-                      Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                      Sea_tpm.Tpm.retrying tpm (fun () ->
                           cap.Sea_tpm.Cap.seal ~caller ~pcr_policy:policy data)));
               unseal =
                 (fun blob ->
                   timed unseal_time (fun () ->
-                      Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                      Sea_tpm.Tpm.retrying tpm (fun () ->
                           cap.Sea_tpm.Cap.unseal ~caller blob)));
               get_random = (fun n -> cap.Sea_tpm.Cap.get_random n);
               extend_measurement =

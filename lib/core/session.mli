@@ -42,7 +42,6 @@ val execute :
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
-  ?retry:Sea_fault.Retry.policy ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->
   input:string ->
@@ -64,8 +63,9 @@ val execute :
     [Enforce] a PALVM image with error findings is refused {e before}
     the OS is suspended or the TPM measures anything.
 
-    [?retry] retries transient TPM faults (see [Sea_fault]) around the
-    late launch and the PAL's seal/unseal services, with virtual-time
+    Under a fault plan installed on the TPM ({!Sea_tpm.Tpm.set_faults}),
+    transient faults around the late launch and the PAL's seal/unseal
+    services are retried by {!Sea_tpm.Tpm.retrying}, with virtual-time
     backoff. A retried late launch restarts the whole
     SKINIT/SENTER measurement from TPM_HASH_START — a fault can delay
     the launch but never yields a PAL running with a partial or stale

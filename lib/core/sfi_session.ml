@@ -40,7 +40,6 @@ type t = {
   mutable released : bool;
   mutable rng_counter : int;
   mutable seal_counter : int;
-  retry : Sea_fault.Retry.policy option;
   tpm_cap : Sea_tpm.Cap.t option;
 }
 
@@ -67,8 +66,8 @@ let with_span t name f =
     name f
 
 let start (m : Machine.t) ~cpu:_ ?preemption_timer
-    ?(profile = default_profile) ?analyze ?analysis_policy ?on_report ?retry
-    ?tpm_cap pal ~input =
+    ?(profile = default_profile) ?analyze ?analysis_policy ?on_report ?tpm_cap
+    pal ~input =
   (* Same contract as SLAUNCH: a refused image is never loaded or
      measured. *)
   match Pal.preflight ?policy:analysis_policy ?analyze ?on_report pal with
@@ -95,7 +94,6 @@ let start (m : Machine.t) ~cpu:_ ?preemption_timer
           released = false;
           rng_counter = 0;
           seal_counter = 0;
-          retry;
           tpm_cap;
         }
       in
@@ -117,14 +115,20 @@ let vault_key t =
   Hmac.sha256 ~key:("sfi-vault:" ^ t.machine.Machine.config.Machine.name)
     t.root
 
+(* Capability calls run under the retry policy installed with the
+   machine TPM's fault plan; on a machine with no TPM they run once. *)
+let retrying t f =
+  match t.machine.Machine.tpm with
+  | Some tpm -> Sea_tpm.Tpm.retrying tpm f
+  | None -> f ()
+
 let seal_blob t ~cpu data =
   charge t
     (Time.add t.profile.seal_base
        (Time.scale t.profile.seal_per_byte (String.length data)));
   match t.tpm_cap with
   | Some cap ->
-      Sea_fault.Retry.run ?policy:t.retry ~engine:t.machine.Machine.engine
-        (fun () ->
+      retrying t (fun () ->
           cap.Sea_tpm.Cap.seal ~caller:(Sea_tpm.Tpm.Cpu cpu)
             ~binding:(binding t) ~pcr_policy:[] data)
   | None ->
@@ -146,8 +150,7 @@ let unseal_blob t ~cpu blob =
        (Time.scale t.profile.unseal_per_byte (String.length blob)));
   match t.tpm_cap with
   | Some cap ->
-      Sea_fault.Retry.run ?policy:t.retry ~engine:t.machine.Machine.engine
-        (fun () ->
+      retrying t (fun () ->
           cap.Sea_tpm.Cap.unseal ~caller:(Sea_tpm.Tpm.Cpu cpu)
             ~binding:(binding t) blob)
   | None ->

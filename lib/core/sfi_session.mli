@@ -55,7 +55,6 @@ val start :
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
-  ?retry:Sea_fault.Retry.policy ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->
   input:string ->
@@ -63,8 +62,9 @@ val start :
 (** Measure and load the PAL into the sandbox, leaving it executing on
     [cpu]. Same lifecycle as {!Slaunch_session}
     (Protect → Measure → Execute), same [?analyze] preflight gate.
-    [?retry] wraps capability seal/unseal calls; the launch path itself
-    has nothing to retry (no TPM). *)
+    Capability seal/unseal calls run under {!Sea_tpm.Tpm.retrying} on
+    the machine's TPM, once on a machine without one; the launch path
+    itself has nothing to retry (no TPM). *)
 
 val state : t -> Lifecycle.state
 val measurement : t -> string

@@ -14,7 +14,6 @@ type t = {
   mutable released : bool;
   mutable primary_cpu : int;
   mutable joined_cpus : int list;
-  retry : Sea_fault.Retry.policy option;
   tpm_cap : Sea_tpm.Cap.t option;
 }
 
@@ -32,8 +31,15 @@ let step t ev =
   | Ok s -> t.state <- s
   | Error e -> invalid_arg ("Slaunch_session: " ^ e)
 
+(* SLAUNCH and sealed storage run under the TPM's installed retry policy;
+   without a TPM, SLAUNCH fails once. *)
+let retrying (m : Machine.t) f =
+  match m.Machine.tpm with
+  | Some tpm -> Sea_tpm.Tpm.retrying tpm f
+  | None -> f ()
+
 let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
-    ?on_report ?retry ?tpm_cap pal ~input =
+    ?on_report ?tpm_cap pal ~input =
   if not m.Machine.config.Machine.proposed then
     Error "this machine lacks the proposed hardware"
   else begin
@@ -63,7 +69,6 @@ let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
         released = false;
         primary_cpu = cpu;
         joined_cpus = [];
-        retry;
         tpm_cap;
       }
     in
@@ -74,9 +79,7 @@ let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
       Sea_trace.Trace.with_span m.Machine.engine ~cat:"session"
         ~args:(fun () -> [ ("pal", Sea_trace.Trace.Str pal.Pal.name) ])
         "slaunch-start"
-        (fun () ->
-          Sea_fault.Retry.run ?policy:retry ~engine:m.Machine.engine
-            (fun () -> Insn.slaunch m ~cpu secb))
+        (fun () -> retrying m (fun () -> Insn.slaunch m ~cpu secb))
     with
     | Error e ->
         Machine.free_pages m pages;
@@ -99,20 +102,17 @@ let services t ~cpu =
     | Some h -> h
     | None -> invalid_arg "Slaunch_session.services: no sePCR bound"
   in
-  let retry_run f =
-    Sea_fault.Retry.run ?policy:t.retry ~engine:m.Machine.engine f
-  in
   let cap =
     match t.tpm_cap with Some c -> c | None -> Sea_tpm.Cap.of_tpm tpm
   in
   {
     Pal.seal =
       (fun data ->
-        retry_run (fun () ->
+        retrying m (fun () ->
             cap.Sea_tpm.Cap.seal ~caller ~sepcr ~pcr_policy:[] data));
     unseal =
       (fun blob ->
-        retry_run (fun () -> cap.Sea_tpm.Cap.unseal ~caller ~sepcr blob));
+        retrying m (fun () -> cap.Sea_tpm.Cap.unseal ~caller ~sepcr blob));
     get_random = (fun n -> cap.Sea_tpm.Cap.get_random n);
     extend_measurement =
       (* The measurement chain is the hardware sePCR — a capability never
@@ -220,8 +220,7 @@ let resume t ~cpu =
         ~args:(fun () -> [ ("pal", Sea_trace.Trace.Str t.pal.Pal.name) ])
         "slaunch-resume"
         (fun () ->
-          Sea_fault.Retry.run ?policy:t.retry ~engine:t.machine.Machine.engine
-            (fun () -> Insn.slaunch t.machine ~cpu t.secb))
+          retrying t.machine (fun () -> Insn.slaunch t.machine ~cpu t.secb))
     with
     | Error e -> Error e
     | Ok (Insn.Launched _) -> Error "suspended SECB was re-measured"

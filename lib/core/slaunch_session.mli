@@ -21,7 +21,6 @@ val start :
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
-  ?retry:Sea_fault.Retry.policy ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->
   input:string ->
@@ -34,14 +33,14 @@ val start :
     [Enforce] a PALVM image with error findings is refused before any
     SECB is allocated or the sePCR extended.
 
-    [?retry] is remembered for the session's lifetime: transient TPM
-    faults (see [Sea_fault]) around the first SLAUNCH, every {!resume},
-    and the PAL's seal/unseal services are retried with virtual-time
-    backoff. A retried first launch re-protects and re-measures the PAL
-    from scratch (the failed attempt backs out its sePCR and page
-    claim); a resume that still fails after retries leaves the session
-    in [Suspend], so the caller can {!kill} it and cold-start a
-    replacement.
+    Under a fault plan installed on the TPM ({!Sea_tpm.Tpm.set_faults}),
+    transient TPM faults around the first SLAUNCH, every {!resume}, and
+    the PAL's seal/unseal services are retried by
+    {!Sea_tpm.Tpm.retrying}, with virtual-time backoff. A retried first
+    launch re-protects and re-measures the PAL from scratch (the failed
+    attempt backs out its sePCR and page claim); a resume that still
+    fails after retries leaves the session in [Suspend], so the caller
+    can {!kill} it and cold-start a replacement.
 
     [?tpm_cap] routes the PAL's data-path TPM services (seal, unseal,
     randomness) — default the hardware TPM, unchanged. The SLAUNCH

@@ -1,81 +1,45 @@
 open Sea_sim
 
-type policy = {
-  max_attempts : int;
-  base_backoff : Time.t;
-  max_backoff : Time.t;
-  jitter : float;
-  budget : Time.t option;
-  mutable retries : int;
-  mutable give_ups : int;
-}
+type policy = { mutable retries : int; mutable give_ups : int }
 
-let policy ?(max_attempts = 4) ?(base_backoff = Time.us 50.)
-    ?(max_backoff = Time.ms 5.) ?(jitter = 0.25) ?budget () =
-  if max_attempts < 1 then invalid_arg "Retry.policy: max_attempts must be >= 1";
-  if Time.compare base_backoff Time.zero <= 0 then
-    invalid_arg "Retry.policy: base_backoff must be positive";
-  if Time.compare max_backoff base_backoff < 0 then
-    invalid_arg "Retry.policy: max_backoff must be >= base_backoff";
-  if jitter < 0. then invalid_arg "Retry.policy: jitter must be non-negative";
-  (match budget with
-  | Some b when Time.compare b Time.zero <= 0 ->
-      invalid_arg "Retry.policy: budget must be positive"
-  | _ -> ());
-  { max_attempts; base_backoff; max_backoff; jitter; budget; retries = 0;
-    give_ups = 0 }
+let attempts = 4
+let base_backoff = Time.us 50.
+let max_backoff = Time.ms 5.
+let jitter = 0.25
 
-(* A fresh policy per call: the [retries]/[give_ups] counters are
-   mutable, so a shared module-level default would alias per-user retry
-   statistics across every caller in the process. *)
-let default () = policy ()
-let max_attempts p = p.max_attempts
+(* A fresh policy per call: the counters are mutable, so a shared
+   module-level value would alias per-user retry statistics across
+   every caller in the process. *)
+let policy () = { retries = 0; give_ups = 0 }
 let retries p = p.retries
 let give_ups p = p.give_ups
 
-let backoff p engine ~attempt =
+let backoff engine ~attempt =
   (* attempt is the 1-based index of the attempt that just failed *)
-  let exp = Time.scale p.base_backoff (1 lsl min (attempt - 1) 20) in
-  let capped = Time.min exp p.max_backoff in
-  let factor = 1.0 +. Rng.float (Engine.rng engine) p.jitter in
+  let exp = Time.scale base_backoff (1 lsl (attempt - 1)) in
+  let capped = Time.min exp max_backoff in
+  let factor = 1.0 +. Rng.float (Engine.rng engine) jitter in
   Time.scale_f capped factor
 
 let run ?policy ~engine f =
   match policy with
   | None -> f ()
   | Some p ->
-      let deadline =
-        Option.map (fun b -> Time.add (Engine.now engine) b) p.budget
-      in
-      let within_budget d =
-        match deadline with
-        | None -> true
-        | Some dl -> Time.compare (Time.add (Engine.now engine) d) dl <= 0
-      in
       let rec attempt n =
         match f () with
         | Ok _ as ok -> ok
-        | Error e when Fault.is_transient e && n < p.max_attempts ->
-            let d = backoff p engine ~attempt:n in
-            if within_budget d then begin
-              Sea_trace.Trace.instant engine ~cat:"fault"
-                ~args:(fun () ->
-                  [
-                    ("attempt", Sea_trace.Trace.Int n);
-                    ("backoff_ns", Sea_trace.Trace.Int (Time.to_ns d));
-                  ])
-                "retry";
-              Engine.advance engine d;
-              p.retries <- p.retries + 1;
-              attempt (n + 1)
-            end
-            else begin
-              p.give_ups <- p.give_ups + 1;
-              Sea_trace.Trace.instant engine ~cat:"fault"
-                ~args:(fun () -> [ ("attempt", Sea_trace.Trace.Int n) ])
-                "retry-give-up";
-              Error e
-            end
+        | Error e when Fault.is_transient e && n < attempts ->
+            let d = backoff engine ~attempt:n in
+            Sea_trace.Trace.instant engine ~cat:"fault"
+              ~args:(fun () ->
+                [
+                  ("attempt", Sea_trace.Trace.Int n);
+                  ("backoff_ns", Sea_trace.Trace.Int (Time.to_ns d));
+                ])
+              "retry";
+            Engine.advance engine d;
+            p.retries <- p.retries + 1;
+            attempt (n + 1)
         | Error e ->
             if Fault.is_transient e then begin
               p.give_ups <- p.give_ups + 1;

@@ -1,37 +1,29 @@
 (** Bounded retry with virtual-time exponential backoff.
 
     Wraps an operation returning [(_, string) result]; an error tagged
-    transient by {!Fault.is_transient} is retried up to a bounded number
-    of attempts, sleeping (in simulated time, via [Engine.advance]) an
-    exponentially growing, jittered backoff between attempts, within an
-    optional per-operation deadline budget. Permanent errors and
-    exhausted budgets are returned to the caller unchanged.
+    transient by {!Fault.is_transient} is retried up to {!attempts}
+    times in all, sleeping (in simulated time, via [Engine.advance]) an
+    exponentially growing, jittered backoff between attempts. Permanent
+    errors and transient errors on the last attempt are returned to the
+    caller unchanged.
 
     Jitter is drawn from the engine's own generator, and only when a
     retry actually happens — a fault-free run consumes no randomness and
-    replays bit-identically to a build without this module. *)
+    replays bit-identically to a build without this module.
+
+    [Sea_tpm.Tpm.set_faults] installs a policy with each fault plan: no
+    caller chooses its own. *)
 
 type policy
+(** The retry and give-up counters of one fault plan's recovery. *)
 
-val policy :
-  ?max_attempts:int ->
-  ?base_backoff:Sea_sim.Time.t ->
-  ?max_backoff:Sea_sim.Time.t ->
-  ?jitter:float ->
-  ?budget:Sea_sim.Time.t ->
-  unit ->
-  policy
-(** Defaults: 4 attempts, 50us initial backoff doubling to a 5ms cap,
-    25% multiplicative jitter, no deadline budget. Raises
-    [Invalid_argument] on non-positive attempts/backoffs or a negative
-    jitter. *)
+val attempts : int
+(** Attempts per operation, the first one included: 4. The backoff
+    after attempt [n] is 50 µs doubled [n - 1] times, capped at 5 ms,
+    then stretched by up to 25 % jitter. *)
 
-val default : unit -> policy
-(** [default ()] is [policy ()]: a fresh policy with private counters.
-    (It used to be a single shared value, which aliased the mutable
-    [retries]/[give_ups] counters across every user in the process.) *)
-
-val max_attempts : policy -> int
+val policy : unit -> policy
+(** A fresh policy with its own zeroed counters. *)
 
 val retries : policy -> int
 (** Cumulative retries performed through this policy (attempt 2 and
@@ -39,7 +31,7 @@ val retries : policy -> int
 
 val give_ups : policy -> int
 (** Operations that still failed transiently after the last allowed
-    attempt or ran out of deadline budget. *)
+    attempt. *)
 
 val run :
   ?policy:policy ->

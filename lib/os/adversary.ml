@@ -119,15 +119,15 @@ let skinit_retry_skips_measurement (m : Machine.t) ~cpu pal ~input =
       (Sea_sim.Rng.create ~seed:42L ())
   in
   Sea_tpm.Tpm.set_faults tpm (Some plan);
-  let retry = Sea_fault.Retry.policy () in
-  let result = Session.execute m ~cpu ~retry pal ~input in
+  let result = Session.execute m ~cpu pal ~input in
+  let retries = Sea_fault.Retry.retries (Option.get (Sea_tpm.Tpm.retry tpm)) in
   Sea_tpm.Tpm.set_faults tpm None;
   match result with
   | Error e -> Blocked ("launch failed closed: " ^ e)
   | Ok o ->
       if Sea_fault.Fault.total plan = 0 then
         Succeeded "fault never injected; the attack was not exercised"
-      else if Sea_fault.Retry.retries retry = 0 then
+      else if retries = 0 then
         Succeeded "session succeeded without retrying an aborted launch"
       else if
         o.Session.identity_value <> Session.expected_identity m pal

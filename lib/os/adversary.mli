@@ -69,10 +69,10 @@ val replay_stale_sealed_state :
 val skinit_retry_skips_measurement :
   Sea_hw.Machine.t -> cpu:int -> Sea_core.Pal.t -> input:string -> verdict
 (** Sever the [TPM_HASH_DATA] stream mid-SKINIT (one injected
-    [Hash_abort] fault) and let the session's retry policy relaunch:
-    the retried launch must restart measurement from [TPM_HASH_START],
-    never leaving the PAL running with a partial or stale identity
-    PCR. [Blocked] when the post-launch identity PCR matches the full
+    [Hash_abort] fault) and let the retry policy installed with it
+    relaunch: the retried launch must restart measurement from
+    [TPM_HASH_START], never leaving the PAL running with a partial or
+    stale identity PCR. [Blocked] when the post-launch identity PCR matches the full
     expected measurement chain (or the launch fails closed). *)
 
 val join_uninvited_cpu :

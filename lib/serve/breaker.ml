@@ -1,20 +1,10 @@
 open Sea_sim
 
-type config = {
-  failure_threshold : int;
-  cooldown : Time.t;
-  half_open_probes : int;
-}
-
-let config ?(failure_threshold = 3) ?(cooldown = Time.ms 100.)
-    ?(half_open_probes = 1) () =
-  if failure_threshold < 1 then
-    invalid_arg "Breaker.config: failure_threshold must be >= 1";
-  if Time.compare cooldown Time.zero <= 0 then
-    invalid_arg "Breaker.config: cooldown must be positive";
-  if half_open_probes < 1 then
-    invalid_arg "Breaker.config: half_open_probes must be >= 1";
-  { failure_threshold; cooldown; half_open_probes }
+(* Consecutive failures before opening, the open interval before
+   probing, and the probe budget per half-open episode. *)
+let failure_threshold = 3
+let cooldown = Time.ms 100.
+let half_open_probes = 1
 
 type state = Closed | Open | Half_open
 
@@ -24,7 +14,6 @@ let state_name = function
   | Half_open -> "half-open"
 
 type t = {
-  cfg : config;
   mutable state : state;
   mutable consecutive_failures : int;
   mutable open_until : Time.t;
@@ -35,9 +24,8 @@ type t = {
   mutable degraded_total : Time.t;
 }
 
-let create cfg =
+let create () =
   {
-    cfg;
     state = Closed;
     consecutive_failures = 0;
     open_until = Time.zero;
@@ -80,7 +68,7 @@ let allow t ~now =
   | Open ->
       if Time.compare now t.open_until >= 0 then begin
         transition t ~now Half_open;
-        t.probes_left <- t.cfg.half_open_probes;
+        t.probes_left <- half_open_probes;
         take_probe t
       end
       else begin
@@ -97,11 +85,11 @@ let record_failure t ~now =
   match t.state with
   | Half_open ->
       (* The probe failed: reopen for another full cooldown. *)
-      t.open_until <- Time.add now t.cfg.cooldown;
+      t.open_until <- Time.add now cooldown;
       transition t ~now Open
   | Closed ->
-      if t.consecutive_failures >= t.cfg.failure_threshold then begin
-        t.open_until <- Time.add now t.cfg.cooldown;
+      if t.consecutive_failures >= failure_threshold then begin
+        t.open_until <- Time.add now cooldown;
         transition t ~now Open
       end
   | Open -> ()

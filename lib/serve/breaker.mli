@@ -3,29 +3,14 @@
     When a request stream's hardware path starts failing persistently
     (retries exhausted on every attempt), continuing to dispatch only
     burns core time on doomed sessions and inflates everyone else's
-    queueing delay. The breaker sheds the stream instead: after
-    [failure_threshold] consecutive failures it {e opens} and rejects
-    arrivals outright for [cooldown] of virtual time, then lets
-    [half_open_probes] requests through — a success closes it, another
-    failure reopens it for a fresh cooldown.
+    queueing delay. The breaker sheds the stream instead: after 3
+    consecutive failures it {e opens} and rejects arrivals outright for
+    a 100 ms cooldown of virtual time, then lets 1 probe request
+    through — a success closes it, another failure reopens it for a
+    fresh cooldown.
 
     All times are virtual (the caller passes [~now] off the engine
     clock), so breaker behaviour replays deterministically. *)
-
-type config = {
-  failure_threshold : int;  (** Consecutive failures before opening. *)
-  cooldown : Sea_sim.Time.t;  (** Open interval before probing. *)
-  half_open_probes : int;  (** Probe budget per half-open episode. *)
-}
-
-val config :
-  ?failure_threshold:int ->
-  ?cooldown:Sea_sim.Time.t ->
-  ?half_open_probes:int ->
-  unit ->
-  config
-(** Defaults: 3 failures, 100 ms cooldown, 1 probe. Raises
-    [Invalid_argument] on non-positive values. *)
 
 type state = Closed | Open | Half_open
 
@@ -33,7 +18,8 @@ val state_name : state -> string
 
 type t
 
-val create : config -> t
+val create : unit -> t
+(** A closed breaker. *)
 
 val allow : t -> now:Sea_sim.Time.t -> bool
 (** Whether to admit a request now. [Closed]: always. [Open]: no until

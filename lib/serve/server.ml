@@ -85,14 +85,6 @@ type tally = {
   latency : Stats.t;
 }
 
-(* Faults, retry and breakers: one layer, present exactly when faults are
-   injected. *)
-type robust = {
-  plan : Sea_fault.Fault.t;
-  retry : Sea_fault.Retry.policy;
-  breakers : Breaker.t array;  (* one per (tenant, kind) key *)
-}
-
 (* Everything one serving run owns, from bootstrap to report. *)
 type state = {
   m : Machine.t;
@@ -101,7 +93,9 @@ type state = {
   backend : Backend.t;
   tenants : Workload.tenant array;
   vtpm : Sea_vtpm.Vtpm.t option;
-  robust : robust option;
+  breakers : Breaker.t array option;
+      (* One per (tenant, kind) key, present exactly when faults are
+         injected; the fault plan and its retry policy live on the TPM. *)
   sealed : (int, string) Hashtbl.t;
       (* Per key, the state kept outside the PAL between uses: created at
          bootstrap on today's hardware, sealed out at eviction on a
@@ -132,7 +126,6 @@ type state = {
 
 let nkinds = List.length Workload.kinds
 let key tenant kind = (tenant * nkinds) + Workload.kind_index kind
-let retry robust = Option.map (fun l -> l.retry) robust
 let cap_for vtpm tenant = Option.map (fun v -> Sea_vtpm.Vtpm.cap v ~tenant) vtpm
 
 (* --- phase 1: create and bootstrap --- *)
@@ -183,16 +176,11 @@ let create (m : Machine.t) cfg tenant_list =
   in
   let backend = Backend.of_kind cfg.mode in
   let* () = backend.Backend.check_machine m in
-  (* The robustness layer exists before provisioning so the vTPM layer's
-     hardware legs (checkpoints, anchor quotes) share its retry policy.
-     Building it touches neither the engine clock nor its generator (the
-     plan splits its own seeded stream). *)
-  let robust =
+  (* Faults come with their recovery: the retry policy is installed with
+     the plan below, and every (tenant, kind) stream gets a breaker. *)
+  let breakers =
     Option.map
-      (fun spec ->
-        let bc = Breaker.config () in
-        { plan = Sea_fault.Fault.of_spec spec; retry = Sea_fault.Retry.policy ();
-          breakers = Array.init (n * nkinds) (fun _ -> Breaker.create bc) })
+      (fun _ -> Array.init (n * nkinds) (fun _ -> Breaker.create ()))
       cfg.faults
   in
   (* The vTPM multiplexer is provisioned before bootstrap (provisioning
@@ -204,15 +192,14 @@ let create (m : Machine.t) cfg tenant_list =
     | None -> Ok None
     | Some count ->
         Result.map Option.some
-          (Sea_vtpm.Vtpm.create ~batch:cfg.vtpm_batch ?retry:(retry robust) ~tpm
-             ~instances:count ())
+          (Sea_vtpm.Vtpm.create ~batch:cfg.vtpm_batch ~tpm ~instances:count ())
   in
   let* sealed = bootstrap m cfg ~vtpm tenants in
   (* The fault plan is installed only after bootstrap (bootstrap models
      provisioning, not the serving window) and draws from its own seeded
      stream, so the tenant streams split below are unperturbed: a rate-0
      or no-fault run replays the exact pre-fault-machinery timeline. *)
-  Tpm.set_faults tpm (Option.map (fun l -> l.plan) robust);
+  Tpm.set_faults tpm (Option.map Sea_fault.Fault.of_spec cfg.faults);
   (* The serving window starts after bootstrap, on a clean clock. *)
   let base = Engine.now engine in
   let rngs = Array.map (fun _ -> Rng.split (Engine.rng engine)) tenants in
@@ -235,7 +222,7 @@ let create (m : Machine.t) cfg tenant_list =
   in
   Ok
     {
-      m; cfg; engine; backend; tenants; vtpm; robust; sealed;
+      m; cfg; engine; backend; tenants; vtpm; breakers; sealed;
       residents = Hashtbl.create 16;
       base;
       finish_line = Time.add base cfg.duration;
@@ -334,8 +321,7 @@ let serve_current st ~t r =
     &&
     match
       st.backend.Backend.oneshot st.m ~cpu:0 ~analyze:st.cfg.analyze
-        ?retry:(retry st.robust) ?tpm_cap:(cap_for st.vtpm r.tenant)
-        (Workload.pal r.kind) ~input
+        ?tpm_cap:(cap_for st.vtpm r.tenant) (Workload.pal r.kind) ~input
     with
     | Ok output ->
         if Workload.updates_state r.kind then
@@ -429,8 +415,8 @@ let resident_for st ~core ~t ~wait r k =
         match
           st.backend.Backend.launch st.m ~cpu:core
             ~preemption_timer:st.cfg.preemption_timer ~analyze:st.cfg.analyze
-            ?retry:(retry st.robust) ?tpm_cap:(cap_for st.vtpm r.tenant)
-            (Workload.resident_pal r.kind) ~input:""
+            ?tpm_cap:(cap_for st.vtpm r.tenant) (Workload.resident_pal r.kind)
+            ~input:""
         with
         | Ok i -> i
         | Error e -> fail ("cold start: " ^ e)
@@ -557,9 +543,9 @@ let reissue ?(on_shed = false) st tenant client t =
 (* Account one served request: its breaker, its tenant's row and the
    core-time it occupied. *)
 let account st ~tenant r ~finish ~d ~ok =
-  (match st.robust with
-  | Some l ->
-      breaker_step st l.breakers.(key tenant r.kind) (fun b ->
+  (match st.breakers with
+  | Some bs ->
+      breaker_step st bs.(key tenant r.kind) (fun b ->
           if ok then Breaker.record_success b ~now:finish
           else Breaker.record_failure b ~now:finish)
   | None -> ());
@@ -622,9 +608,9 @@ let arrive st t ~tenant ~kind ~client =
   let tl = st.tally.(tenant) in
   tl.offered <- tl.offered + 1;
   let open_breaker =
-    match st.robust with
-    | Some l ->
-        let b = l.breakers.(key tenant kind) in
+    match st.breakers with
+    | Some bs ->
+        let b = bs.(key tenant kind) in
         if breaker_step st b (fun b -> Breaker.allow b ~now:t) then None
         else Some b
     | None -> None
@@ -671,15 +657,15 @@ let finish st =
      advances the clock further. *)
   let serve_end = Engine.now st.engine in
   let breaker_shed, breaker_transitions, degraded =
-    match st.robust with
+    match st.breakers with
     | None -> (0, 0, Time.zero)
-    | Some l ->
+    | Some bs ->
         Array.fold_left
           (fun (sh, tr, dg) b ->
             ( sh + Breaker.rejected b,
               tr + Breaker.transitions b,
               Time.add dg (Breaker.degraded b ~now:serve_end) ))
-          (0, 0, Time.zero) l.breakers
+          (0, 0, Time.zero) bs
   in
   (* Tear down: kill any remaining residents so the machine is clean. *)
   Hashtbl.iter (fun _ res -> discard res) st.residents;
@@ -688,7 +674,21 @@ let finish st =
      so the hardware PCR covers every state change before the plan is
      removed. *)
   Option.iter Sea_vtpm.Vtpm.sync st.vtpm;
-  Tpm.set_faults (Machine.tpm_exn st.m) None;
+  (* The plan's counts and its policy's counters go with the plan, so
+     read them before clearing it. *)
+  let tpm = Machine.tpm_exn st.m in
+  let faults_injected, fault_stall, retries, retry_give_ups =
+    match (Tpm.faults tpm, Tpm.retry tpm) with
+    | Some plan, Some retry ->
+        ( List.map
+            (fun (k, c) -> (Sea_fault.Fault.kind_name k, c))
+            (Sea_fault.Fault.counts plan),
+          Sea_fault.Fault.stall_injected plan,
+          Sea_fault.Retry.retries retry,
+          Sea_fault.Retry.give_ups retry )
+    | _ -> ([], Time.zero, 0, 0)
+  in
+  Tpm.set_faults tpm None;
   let window =
     Time.max st.cfg.duration (Time.sub st.last_completion st.base)
   in
@@ -720,17 +720,6 @@ let finish st =
       Float.max 0.
         (Time.to_ms (Time.sub total_core_time st.pal_busy)
         /. Time.to_ms total_core_time)
-  in
-  let faults_injected, fault_stall, retries, retry_give_ups =
-    match st.robust with
-    | None -> ([], Time.zero, 0, 0)
-    | Some l ->
-        ( List.map
-            (fun (k, c) -> (Sea_fault.Fault.kind_name k, c))
-            (Sea_fault.Fault.counts l.plan),
-          Sea_fault.Fault.stall_injected l.plan,
-          Sea_fault.Retry.retries l.retry,
-          Sea_fault.Retry.give_ups l.retry )
   in
   {
     Report.mode = mode_name st.cfg.mode;

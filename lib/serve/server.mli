@@ -57,10 +57,10 @@ type config = {
   faults : Sea_fault.Fault.spec option;
       (** Deterministic fault plan injected at the TPM/LPC boundary for
           the serving window (installed after bootstrap). Faults come
-          with their recovery: a run with [faults] set also retries the
-          hardware path ({!Sea_fault.Retry.policy} defaults) and guards
-          every (tenant, kind) stream with a circuit breaker
-          ({!Breaker.config} defaults); a run without has neither. *)
+          with their recovery: the plan is installed on the TPM with its
+          retry policy ({!Sea_tpm.Tpm.set_faults}), so the hardware path
+          retries, and every (tenant, kind) stream is guarded by a
+          {!Breaker}; a run without has neither. *)
   vtpm : int option;
       (** Multiplex this many virtual TPMs over the machine's hardware
           TPM ([Sea_vtpm]); every session — bootstrap included — then

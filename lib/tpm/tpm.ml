@@ -16,6 +16,7 @@ type t = {
   drbg : Drbg.t;
   rng : Rng.t; (* timing jitter only *)
   mutable faults : Sea_fault.Fault.t option;
+  mutable retry : Sea_fault.Retry.policy option;  (* present with [faults] *)
   mutable hash_session : Sha1.ctx option;
   mutable locked_by : int option;
   mutable lock_contentions : int;
@@ -67,6 +68,7 @@ let create ?(vendor = Vendor.Broadcom) ?profile ?(key_bits = 2048) ?(sepcr_count
        identically configured machines replay identical timelines. *)
     rng = Rng.split (Engine.rng engine);
     faults = None;
+    retry = None;
     hash_session = None;
     locked_by = None;
     lock_contentions = 0;
@@ -93,9 +95,12 @@ let traced t name f = Sea_trace.Trace.with_span t.engine ~cat:"tpm" name f
 
 let set_faults t plan =
   t.faults <- plan;
+  t.retry <- Option.map (fun _ -> Sea_fault.Retry.policy ()) plan;
   Sea_bus.Lpc.set_faults t.lpc plan
 
 let faults t = t.faults
+let retry t = t.retry
+let retrying t f = Sea_fault.Retry.run ?policy:t.retry ~engine:t.engine f
 
 (* A fired fault yields a transient error; the injection sites below are
    placed before any state mutation, so a retried command observes the

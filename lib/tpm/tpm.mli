@@ -55,10 +55,23 @@ val set_faults : t -> Sea_fault.Fault.t option -> unit
     seal-blob and NV write failures; and injected LPC long-wait stalls.
     Every injection site sits before the command's state mutation, so a
     retried command sees the TPM as if the failed attempt never ran.
-    Without a plan (the default) behaviour is exactly fault-free. *)
+    Without a plan (the default) behaviour is exactly fault-free.
+
+    Faults come with their recovery: a plan is installed and removed
+    together with a fresh {!Sea_fault.Retry.policy}. *)
 
 val faults : t -> Sea_fault.Fault.t option
 (** The currently installed fault plan, if any. *)
+
+val retry : t -> Sea_fault.Retry.policy option
+(** The retry policy installed with the fault plan: [Some] exactly when
+    {!faults} is. *)
+
+val retrying : t -> (unit -> ('a, string) result) -> ('a, string) result
+(** [retrying tpm f] runs a hardware call [f] under the installed retry
+    policy, on this TPM's engine clock: transient faults are retried
+    with virtual-time backoff. With no plan installed [f] runs exactly
+    once. *)
 
 val reboot : t -> unit
 (** Platform reset: PCR semantics per {!Pcr.reboot}; open hash sessions and

@@ -155,11 +155,11 @@ let request_name = function
   | Pcr_extend _ -> "pcr-extend"
   | Pcr_read _ -> "pcr-read"
 
-let execute ?retry tpm t req =
-  let engine = Tpm.engine tpm in
-  Sea_trace.Trace.with_span engine ~cat:"transport" (request_name req)
+let execute tpm t req =
+  Sea_trace.Trace.with_span (Tpm.engine tpm) ~cat:"transport"
+    (request_name req)
   @@ fun () ->
-  Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+  Tpm.retrying tpm (fun () ->
       let seq = t.client_seq in
       let wire = seal_request t req in
       match tpm_execute tpm t wire with

@@ -44,10 +44,10 @@ val tpm_execute : Tpm.t -> t -> string -> (string, string) result
 val open_response : t -> string -> (response, string) result
 (** Client side: authenticate + decrypt the TPM's wire response. *)
 
-val execute :
-  ?retry:Sea_fault.Retry.policy -> Tpm.t -> t -> request -> (response, string) result
+val execute : Tpm.t -> t -> request -> (response, string) result
 (** [seal_request] → [tpm_execute] → [open_response] in one step, for
-    callers that do not need to interpose an adversary. With [?retry],
-    transient failures (an injected busy TPM) are retried under the
-    policy: each retry re-seals the command under a fresh sequence
-    number, so the channel's anti-replay guarantee is untouched. *)
+    callers that do not need to interpose an adversary. Under an
+    installed fault plan, transient failures (an injected busy TPM) are
+    retried by {!Tpm.retrying}: each retry re-seals the command under a
+    fresh sequence number, so the channel's anti-replay guarantee is
+    untouched. *)

@@ -57,7 +57,6 @@ and mux = {
   engine : Engine.t;
   anchor_pcr : int;
   batch : int;
-  retry : Retry.policy option;
   mutable insts : instance array;
   mutable pending : (int * string) list;  (* newest first: index, record *)
   mutable pending_count : int;
@@ -135,8 +134,8 @@ let record_bytes inst =
    coalesced LPC burst for the whole batch plus one extend latency per
    attempt — accrues on the pipeline's own [busy_until] timeline, never
    on the engine clock. Injected busy faults burn attempts (bounded by
-   the retry policy); exhaustion quarantines every instance with a
-   record in the batch. *)
+   the retry policy installed with the fault plan); exhaustion
+   quarantines every instance with a record in the batch. *)
 let flush m =
   if m.pending_count > 0 then begin
     let recs = List.rev m.pending in
@@ -151,7 +150,7 @@ let flush m =
         ~device_wait:profile.Timing.hash_data_wait ~chunks
     in
     let attempts =
-      match m.retry with None -> 1 | Some p -> Retry.max_attempts p
+      match Tpm.retry m.tpm with None -> 1 | Some _ -> Retry.attempts
     in
     let rec extend_hw attempt cost =
       let busy =
@@ -348,7 +347,7 @@ let checkpoint inst =
   traced m "checkpoint" @@ fun () ->
   let payload = Printf.sprintf "vtpm-state:%d:%s" inst.idx inst.digest in
   match
-    Retry.run ?policy:m.retry ~engine:m.engine (fun () ->
+    Tpm.retrying m.tpm (fun () ->
         Tpm.seal m.tpm ~caller:Tpm.Software ~pcr_policy:[] payload)
   with
   | Ok blob ->
@@ -404,7 +403,7 @@ let quote inst ~selection ~nonce =
        so far, and the device must be free to serve it. *)
     sync m;
     match
-      Retry.run ?policy:m.retry ~engine:m.engine (fun () ->
+      Tpm.retrying m.tpm (fun () ->
           Tpm.quote m.tpm ~caller:Tpm.Software ~selection:[ m.anchor_pcr ]
             ~nonce ())
     with
@@ -494,8 +493,8 @@ let cap m ~tenant =
 
 (* --- Provisioning --- *)
 
-let create ?(anchor_pcr = 23) ?(batch = 16) ?(key_bits = 512) ?retry ~tpm
-    ~instances () =
+let create ?(anchor_pcr = 23) ?(batch = 16) ?(key_bits = 512) ~tpm ~instances
+    () =
   if instances < 1 then Error "vtpm: instances must be positive"
   else if batch < 1 then Error "vtpm: batch must be positive"
   else if anchor_pcr < 0 || anchor_pcr >= Pcr.count then
@@ -507,7 +506,6 @@ let create ?(anchor_pcr = 23) ?(batch = 16) ?(key_bits = 512) ?retry ~tpm
         engine = Tpm.engine tpm;
         anchor_pcr;
         batch;
-        retry;
         insts = [||];
         pending = [];
         pending_count = 0;

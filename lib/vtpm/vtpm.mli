@@ -60,7 +60,6 @@ val create :
   ?anchor_pcr:int ->
   ?batch:int ->
   ?key_bits:int ->
-  ?retry:Sea_fault.Retry.policy ->
   tpm:Sea_tpm.Tpm.t ->
   instances:int ->
   unit ->
@@ -77,10 +76,11 @@ val create :
 
     [anchor_pcr] (default 23, a dynamic PCR no session identity uses)
     is the hardware PCR the anchor chain lives in. [batch] (default 16)
-    is how many pending records trigger a background flush. [retry]
-    wraps the on-clock hardware legs (checkpoints, anchor quotes) and
-    bounds the background extend's internal attempts; without it those
-    legs run once.
+    is how many pending records trigger a background flush. The
+    on-clock hardware legs (checkpoints, anchor quotes) run under
+    {!Sea_tpm.Tpm.retrying}, and the background extend makes up to
+    {!Sea_fault.Retry.attempts} attempts, when a fault plan is installed
+    on [tpm]; without one, each leg runs once.
 
     Errors (rather than raising) on [instances < 1], [batch < 1], or an
     out-of-range [anchor_pcr]. *)

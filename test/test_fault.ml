@@ -87,11 +87,6 @@ let test_stall_accumulates () =
 
 let engine () = Engine.create ~seed:5L ()
 
-let test_retry_policy_validation () =
-  Alcotest.check_raises "zero attempts"
-    (Invalid_argument "Retry.policy: max_attempts must be >= 1")
-    (fun () -> ignore (Retry.policy ~max_attempts:0 ()))
-
 let test_retry_transient_then_success () =
   let e = engine () in
   let policy = Retry.policy () in
@@ -124,7 +119,7 @@ let test_retry_permanent_not_retried () =
 
 let test_retry_exhaustion () =
   let e = engine () in
-  let policy = Retry.policy ~max_attempts:4 () in
+  let policy = Retry.policy () in
   let calls = ref 0 in
   let r =
     Retry.run ~policy ~engine:e (fun () ->
@@ -133,31 +128,17 @@ let test_retry_exhaustion () =
   in
   checkb "still transient after exhaustion" true
     (match r with Error m -> Fault.is_transient m | Ok _ -> false);
-  checki "all attempts spent" 4 !calls;
-  checki "retries counted" 3 (Retry.retries policy);
+  checki "all attempts spent" Retry.attempts !calls;
+  checki "retries counted" (Retry.attempts - 1) (Retry.retries policy);
   checki "gave up once" 1 (Retry.give_ups policy)
 
-let test_retry_budget_stops_early () =
-  let e = engine () in
-  (* A budget smaller than the first backoff: no retry fits. *)
-  let policy = Retry.policy ~budget:(Time.us 1.) () in
-  let calls = ref 0 in
-  let r =
-    Retry.run ~policy ~engine:e (fun () ->
-        incr calls;
-        Error (Fault.transient "busy"))
-  in
-  checkb "failed" true (Result.is_error r);
-  checki "one attempt, no budget for more" 1 !calls;
-  checki "budget exhaustion is a give-up" 1 (Retry.give_ups policy)
-
 let test_default_policies_are_independent () =
-  (* Regression: [default] used to be one shared module-level value, so
-     its mutable retries/give_ups counters aliased across every caller —
-     retries performed through one "default" policy showed up in
+  (* Regression: the default policy used to be one shared module-level
+     value, so its mutable retries/give_ups counters aliased across every
+     caller — retries performed through one default policy showed up in
      another's statistics. *)
   let e = engine () in
-  let p1 = Retry.default () and p2 = Retry.default () in
+  let p1 = Retry.policy () and p2 = Retry.policy () in
   let calls = ref 0 in
   ignore
     (Retry.run ~policy:p1 ~engine:e (fun () ->
@@ -165,7 +146,7 @@ let test_default_policies_are_independent () =
          if !calls < 3 then Error (Fault.transient "busy") else Ok ()));
   checki "p1 counted its retries" 2 (Retry.retries p1);
   checki "p2 unaffected" 0 (Retry.retries p2);
-  checki "a third default starts clean" 0 (Retry.retries (Retry.default ()))
+  checki "a third policy starts clean" 0 (Retry.retries (Retry.policy ()))
 
 let test_retry_without_policy_runs_once () =
   let e = engine () in
@@ -180,10 +161,8 @@ let test_retry_without_policy_runs_once () =
 
 (* --- circuit breaker --- *)
 
-let bcfg = Breaker.config ~failure_threshold:3 ~cooldown:(Time.ms 100.) ()
-
 let test_breaker_opens_at_threshold () =
-  let b = Breaker.create bcfg in
+  let b = Breaker.create () in
   let now = Time.zero in
   checkb "starts closed" true (Breaker.state b = Breaker.Closed);
   Breaker.record_failure b ~now;
@@ -198,7 +177,7 @@ let test_breaker_opens_at_threshold () =
     (Breaker.retry_at b = Time.add now (Time.ms 100.))
 
 let test_breaker_probe_success_closes () =
-  let b = Breaker.create bcfg in
+  let b = Breaker.create () in
   for _ = 1 to 3 do
     Breaker.record_failure b ~now:Time.zero
   done;
@@ -214,7 +193,7 @@ let test_breaker_probe_success_closes () =
     (Time.compare (Breaker.degraded b ~now:later) Time.zero > 0)
 
 let test_breaker_probe_failure_reopens () =
-  let b = Breaker.create bcfg in
+  let b = Breaker.create () in
   for _ = 1 to 3 do
     Breaker.record_failure b ~now:Time.zero
   done;
@@ -374,15 +353,11 @@ let () =
         ] );
       ( "retry",
         [
-          Alcotest.test_case "policy validation" `Quick
-            test_retry_policy_validation;
           Alcotest.test_case "transient then success" `Quick
             test_retry_transient_then_success;
           Alcotest.test_case "permanent not retried" `Quick
             test_retry_permanent_not_retried;
           Alcotest.test_case "exhaustion" `Quick test_retry_exhaustion;
-          Alcotest.test_case "budget stops early" `Quick
-            test_retry_budget_stops_early;
           Alcotest.test_case "no policy runs once" `Quick
             test_retry_without_policy_runs_once;
           Alcotest.test_case "default policies independent" `Quick
