@@ -1,5 +1,6 @@
 (* Tests for the fault-injection subsystem: deterministic fault plans,
-   bounded retry with virtual-time backoff, the serving loop's circuit
+   bounded retry with virtual-time backoff, the recovery an installed
+   plan brings to every hardware path, the serving loop's circuit
    breakers, resident-PAL recovery, and fault-schedule determinism
    (replayed across every seed in SEA_FAULT_SEEDS). *)
 
@@ -205,14 +206,82 @@ let test_breaker_probe_failure_reopens () =
     (Breaker.retry_at b = Time.add later (Time.ms 100.));
   checkb "rejects again" false (Breaker.allow b ~now:later)
 
-(* --- serving under injected faults --- *)
-
 let machine ?(seed = 11L) proposed =
   let config = Sea_hw.Machine.low_fidelity Sea_hw.Machine.hp_dc5750 in
   let config =
     if proposed then Sea_hw.Machine.proposed_variant config else config
   in
   Sea_hw.Machine.create ~engine:(Engine.create ~seed ()) config
+
+(* --- every hardware path retries under an installed plan --- *)
+
+(* Install a plan that injects exactly one transient [kind] fault, make
+   the call with no policy of its own, and check that it succeeded after
+   exactly one retry under the policy installed with the plan. *)
+let retries_once tpm kind call =
+  let plan =
+    Fault.create ~kinds:[ kind ] ~max_injections:1 ~rate:1.
+      (Rng.create ~seed:42L ())
+  in
+  Sea_tpm.Tpm.set_faults tpm (Some plan);
+  let result = call () in
+  let retries = Retry.retries (Option.get (Sea_tpm.Tpm.retry tpm)) in
+  Sea_tpm.Tpm.set_faults tpm None;
+  checki "fault injected" 1 (Fault.total plan);
+  checkb "call succeeded" true (Result.is_ok result);
+  checki "one retry" 1 retries
+
+(* A resident that yields at its first 2 ms slice, leaving it suspended. *)
+let suspended_resident m =
+  let pal =
+    Sea_core.Pal.create ~name:"resident" ~compute_time:(Time.ms 10.)
+      (fun _ _ -> Ok "done")
+  in
+  match
+    Sea_core.Backend.proposed.Sea_core.Backend.launch m ~cpu:0
+      ~preemption_timer:(Time.ms 2.) pal ~input:""
+  with
+  | Error e -> Alcotest.fail ("launch: " ^ e)
+  | Ok inst -> (
+      match inst.Sea_core.Backend.run_slice ~cpu:0 () with
+      | Ok `Yielded -> inst
+      | Ok `Finished | Error _ -> Alcotest.fail "resident did not yield")
+
+let test_session_retries_late_launch () =
+  let m = machine false in
+  retries_once (Sea_hw.Machine.tpm_exn m) Fault.Hash_abort (fun () ->
+      Sea_core.Session.execute m ~cpu:0 (Sea_core.Generic.pal_gen ())
+        ~input:"")
+
+let test_slaunch_resume_retries_rebind () =
+  let m = machine true in
+  let inst = suspended_resident m in
+  retries_once (Sea_hw.Machine.tpm_exn m) Fault.Tpm_busy (fun () ->
+      inst.Sea_core.Backend.resume ~cpu:0)
+
+let test_backend_save_state_retries_seal () =
+  let m = machine true in
+  let inst = suspended_resident m in
+  retries_once (Sea_hw.Machine.tpm_exn m) Fault.Seal_fail (fun () ->
+      inst.Sea_core.Backend.save_state ~cpu:0 ~tag:"resident-state")
+
+let test_vtpm_checkpoint_retries_seal () =
+  let tpm = Sea_hw.Machine.tpm_exn (machine false) in
+  match Sea_vtpm.Vtpm.create ~tpm ~instances:1 () with
+  | Error e -> Alcotest.fail ("vtpm: " ^ e)
+  | Ok v ->
+      retries_once tpm Fault.Seal_fail (fun () ->
+          Sea_vtpm.Vtpm.checkpoint (Sea_vtpm.Vtpm.instance v 0))
+
+let test_transport_retries_busy () =
+  let tpm = Sea_hw.Machine.tpm_exn (machine false) in
+  match Sea_tpm.Transport.establish tpm ~client_entropy:"retry" with
+  | Error e -> Alcotest.fail ("transport: " ^ e)
+  | Ok s ->
+      retries_once tpm Fault.Tpm_busy (fun () ->
+          Sea_tpm.Transport.execute tpm s (Sea_tpm.Transport.Get_random 16))
+
+(* --- serving under injected faults --- *)
 
 let serve ?seed ?faults ?(depth = 16) ~mode ~duration tenants =
   let proposed_hw =
@@ -362,6 +431,19 @@ let () =
             test_retry_without_policy_runs_once;
           Alcotest.test_case "default policies independent" `Quick
             test_default_policies_are_independent;
+        ] );
+      ( "installed plan",
+        [
+          Alcotest.test_case "session late launch" `Quick
+            test_session_retries_late_launch;
+          Alcotest.test_case "slaunch resume" `Quick
+            test_slaunch_resume_retries_rebind;
+          Alcotest.test_case "backend save_state" `Quick
+            test_backend_save_state_retries_seal;
+          Alcotest.test_case "vtpm checkpoint" `Quick
+            test_vtpm_checkpoint_retries_seal;
+          Alcotest.test_case "transport execute" `Quick
+            test_transport_retries_busy;
         ] );
       ( "breaker",
         [
