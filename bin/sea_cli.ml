@@ -732,22 +732,12 @@ let vtpm_arg =
   in
   Arg.(value & opt (some int) None & info [ "vtpm" ] ~docv:"N" ~docs:s_vtpm ~doc)
 
-let vtpm_batch_arg =
-  let doc =
-    "Anchor-pipeline batch size: hardware anchor extends are coalesced \
-     into one LPC round-trip per $(docv) state changes. Reports are \
-     byte-identical across batch sizes; only the anchor pipeline's \
-     virtual-time cost changes."
-  in
-  Arg.(value & opt int 16 & info [ "vtpm-batch" ] ~docv:"N" ~docs:s_vtpm ~doc)
-
-(* Shared by serve and cluster: both flags follow the exit-1-plus-message
+(* Shared by serve and cluster: the flag follows the exit-1-plus-message
    convention of --rate/--timer rather than raising from Server.config. *)
-let validate_vtpm_flags ~vtpm ~vtpm_batch =
-  (match vtpm with
+let validate_vtpm_flag vtpm =
+  match vtpm with
   | Some k when k <= 0 -> or_die (Error "--vtpm must be positive")
-  | _ -> ());
-  if vtpm_batch <= 0 then or_die (Error "--vtpm-batch must be positive")
+  | _ -> ()
 
 (* Parse the --fault-kinds / --fault-rate pair shared by serve and
    cluster into an optional fault spec. *)
@@ -778,7 +768,7 @@ let fault_spec_of_flags ~fault_rate ~fault_kinds ~fault_seed =
 
 let run_serve machine_config mode rate duration_s cores tenants depth
     discipline analyze admission cost_budget timer_ms deadline_ms closed
-    think_ms seed fault_rate fault_kinds fault_seed vtpm vtpm_batch trace_file
+    think_ms seed fault_rate fault_kinds fault_seed vtpm trace_file
     trace_summary =
   (* Validate the numeric flags here, with flag names in the messages,
      instead of letting Invalid_argument escape from the library
@@ -786,7 +776,7 @@ let run_serve machine_config mode rate duration_s cores tenants depth
   if rate <= 0. then or_die (Error "--rate must be positive");
   if duration_s <= 0. then or_die (Error "--duration must be positive");
   if timer_ms <= 0. then or_die (Error "--timer must be positive");
-  validate_vtpm_flags ~vtpm ~vtpm_batch;
+  validate_vtpm_flag vtpm;
   let mode = mode_of_flag mode in
   let analyze = gate_of_flag analyze in
   let discipline = discipline_of_flags ~discipline ~admission ~cost_budget in
@@ -798,7 +788,7 @@ let run_serve machine_config mode rate duration_s cores tenants depth
     in
     let cfg =
       Sea_serve.Server.config ~queue_depth:depth ~discipline ~analyze
-        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~vtpm_batch ~mode
+        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~mode
         ~duration:(Time.s duration_s) ()
     in
     let deadline = Option.map Time.ms deadline_ms in
@@ -871,8 +861,8 @@ let serve_cmd =
       $ cores_arg $ tenants_arg $ depth_arg $ discipline_arg
       $ analyze_gate_arg $ admission_cost_arg $ cost_budget_arg $ timer_arg
       $ deadline_arg $ closed_arg $ think_arg $ seed_arg $ fault_rate_arg
-      $ fault_kinds_arg $ fault_seed_arg $ vtpm_arg $ vtpm_batch_arg
-      $ trace_arg $ trace_summary_arg)
+      $ fault_kinds_arg $ fault_seed_arg $ vtpm_arg $ trace_arg
+      $ trace_summary_arg)
 
 (* --- cluster --- *)
 
@@ -991,7 +981,7 @@ let shape_of_flag ~duration_s shape =
 let run_cluster machine_config mode machines shards policy rate duration_s
     cores tenants depth discipline analyze admission cost_budget timer_ms
     deadline_ms closed think_ms seed fault_rate fault_kinds fault_seed vtpm
-    vtpm_batch mttf mttr partition link_loss failover autoscale scale_interval
+    mttf mttr partition link_loss failover autoscale scale_interval
     hot_threshold shape zipf trace_prefix =
   (* Fleet-shape validation first: bad --machines/--shards must exit 1
      with a usage message, never escape as a raised Invalid_argument. *)
@@ -1004,7 +994,7 @@ let run_cluster machine_config mode machines shards policy rate duration_s
   if rate <= 0. then or_die (Error "--rate must be positive");
   if duration_s <= 0. then or_die (Error "--duration must be positive");
   if timer_ms <= 0. then or_die (Error "--timer must be positive");
-  validate_vtpm_flags ~vtpm ~vtpm_batch;
+  validate_vtpm_flag vtpm;
   let churn =
     churn_of_flags ~machines ~duration_s ~mttf ~mttr ~partition ~link_loss
       ~failover ~fault_seed
@@ -1024,7 +1014,7 @@ let run_cluster machine_config mode machines shards policy rate duration_s
     let machine_config = serving_machine_config machine_config mode cores in
     let serve =
       Sea_serve.Server.config ~queue_depth:depth ~discipline ~analyze
-        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~vtpm_batch ~mode
+        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~mode
         ~duration:(Time.s duration_s) ()
     in
     let deadline = Option.map Time.ms deadline_ms in
@@ -1224,7 +1214,7 @@ let cluster_cmd =
       $ tenants_arg $ depth_arg $ discipline_arg $ analyze_gate_arg
       $ admission_cost_arg $ cost_budget_arg $ timer_arg $ deadline_arg
       $ closed_arg $ think_arg $ seed_arg $ fault_rate_arg $ fault_kinds_arg
-      $ fault_seed_arg $ vtpm_arg $ vtpm_batch_arg $ mttf_arg $ mttr_arg
+      $ fault_seed_arg $ vtpm_arg $ mttf_arg $ mttr_arg
       $ partition_arg $ link_loss_arg $ failover_arg $ autoscale_arg
       $ scale_interval_arg $ hot_threshold_arg $ shape_arg $ zipf_arg
       $ trace_arg)

@@ -210,10 +210,10 @@ let pp_row t fmt row =
 
 (* The vTPM line appears only when a multiplexer was in front of the
    hardware TPM, so non-vTPM reports render exactly as before it existed.
-   Only batch-size-invariant counters appear here: flush and
-   batch-occupancy counts live in the trace ("vtpm" category), keeping
-   the render byte-identical across [--vtpm-batch] settings. The
-   cost-admission line likewise appears only under the cost discipline. *)
+   Only the commands tenants issued appear here: flush and
+   batch-occupancy counts describe the background anchor pipeline and
+   live in the trace ("vtpm" category). The cost-admission line likewise
+   appears only under the cost discipline. *)
 let pp_optional_lines fmt ~vtpm ~cost_budget ~cost_shed =
   (match vtpm with
   | Some v ->

@@ -28,10 +28,9 @@ type vtpm_stats = {
   unseals : int;
   resets : int;  (** Quarantined vTPMs healed back into service. *)
 }
-(** Batch-size-invariant vTPM counters: anchor flush/batch-occupancy
-    counts depend on the [--vtpm-batch] pipeline setting and live in the
-    trace ("vtpm" category) instead, so a report renders byte-identically
-    for any batch size. *)
+(** The vTPM commands tenants issued: anchor flush/batch-occupancy
+    counts describe the background pipeline and live in the trace
+    ("vtpm" category) instead. *)
 
 type t = {
   mode : string;

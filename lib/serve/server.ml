@@ -20,12 +20,11 @@ type config = {
   preemption_timer : Time.t;
   faults : Sea_fault.Fault.spec option;
   vtpm : int option;
-  vtpm_batch : int;
 }
 
 let config ?(queue_depth = 16) ?(discipline = Admission.Fifo)
     ?(analyze = Sea_analysis.Analyzer.Off) ?(preemption_timer = Time.ms 10.)
-    ?faults ?vtpm ?(vtpm_batch = 16) ~mode ~duration () =
+    ?faults ?vtpm ~mode ~duration () =
   if Time.compare duration Time.zero <= 0 then
     invalid_arg "Server.config: duration must be positive";
   if queue_depth <= 0 then
@@ -36,10 +35,8 @@ let config ?(queue_depth = 16) ?(discipline = Admission.Fifo)
   | Some k when k <= 0 ->
       invalid_arg "Server.config: vtpm instances must be positive"
   | _ -> ());
-  if vtpm_batch <= 0 then
-    invalid_arg "Server.config: vtpm batch must be positive";
   { mode; duration; queue_depth; discipline; analyze; preemption_timer;
-    faults; vtpm; vtpm_batch }
+    faults; vtpm }
 
 (* One queued request. [client] is the closed-loop client slot that will
    reissue once this request is answered ([None] for open-loop). *)
@@ -192,7 +189,7 @@ let create (m : Machine.t) cfg tenant_list =
     | None -> Ok None
     | Some count ->
         Result.map Option.some
-          (Sea_vtpm.Vtpm.create ~batch:cfg.vtpm_batch ~tpm ~instances:count ())
+          (Sea_vtpm.Vtpm.create ~tpm ~instances:count ())
   in
   let* sealed = bootstrap m cfg ~vtpm tenants in
   (* The fault plan is installed only after bootstrap (bootstrap models

@@ -69,11 +69,6 @@ type config = {
           the integrity anchor. [None] (default): sessions talk to the
           hardware TPM directly, byte-for-byte the historical
           behaviour. *)
-  vtpm_batch : int;
-      (** Anchor-pipeline batch size (pending state-change records per
-          hardware anchor flush; default 16). Affects only the anchor
-          pipeline's background lag: reports are byte-identical across
-          batch sizes. *)
 }
 
 val config :
@@ -83,13 +78,12 @@ val config :
   ?preemption_timer:Sea_sim.Time.t ->
   ?faults:Sea_fault.Fault.spec ->
   ?vtpm:int ->
-  ?vtpm_batch:int ->
   mode:mode ->
   duration:Sea_sim.Time.t ->
   unit ->
   config
 (** Defaults: depth 16, FIFO, analysis gate [Off], 10 ms preemption
-    timer, no faults, no vTPM layer, vTPM batch 16. Raises
+    timer, no faults, no vTPM layer. Raises
     [Invalid_argument] on non-positive values. *)
 
 val run :

@@ -1,6 +1,6 @@
 (* Tests for sea.vtpm: per-tenant virtual PCR isolation, the
    anchor-changes-iff-state-changes invariant, two-layer quote
-   verification, batch-size-invariant serve reports, per-instance
+   verification, shard-count-invariant fleet reports, per-instance
    quarantine on anchor/checkpoint faults, and the coalesced LPC batch
    accounting the anchor pipeline is priced with. *)
 
@@ -231,30 +231,7 @@ let test_anchor_batch_time_pinned () =
   Vtpm.sync v;
   checki "sync drains the lag" 0 (Time.to_ns (Vtpm.anchor_lag v))
 
-(* --- serving: batch size and shard count must not show in reports --- *)
-
-let serve_report ~vtpm_batch =
-  let config = Sea_hw.Machine.low_fidelity Sea_hw.Machine.hp_dc5750 in
-  let m =
-    Sea_hw.Machine.create ~engine:(Engine.create ~seed:11L ()) config
-  in
-  let cfg =
-    Sea_serve.Server.config ~queue_depth:8 ~vtpm:4 ~vtpm_batch
-      ~mode:Sea_serve.Server.Current ~duration:(Time.s 2.) ()
-  in
-  match
-    Sea_serve.Server.run m cfg
-      (Sea_serve.Workload.preset ~tenants:6 (`Open 20.))
-  with
-  | Ok r -> Sea_serve.Report.render r
-  | Error e -> Alcotest.fail ("serve: " ^ e)
-
-let test_batch_size_invisible_in_reports () =
-  let r1 = serve_report ~vtpm_batch:1 in
-  let rn = serve_report ~vtpm_batch:16 in
-  checks "batch 1 vs 16 byte-identical" r1 rn;
-  checkb "vtpm line present" true
-    (contains ~sub:"vtpm: 4 instances" r1)
+(* --- serving: the shard count must not show in reports --- *)
 
 let cluster_report ~shards =
   let machine_config =
@@ -314,8 +291,6 @@ let () =
         ] );
       ( "serving",
         [
-          Alcotest.test_case "batch size invisible in reports" `Quick
-            test_batch_size_invisible_in_reports;
           Alcotest.test_case "shard count invisible in fleet reports" `Quick
             test_shard_count_invisible_in_fleet_reports;
         ] );

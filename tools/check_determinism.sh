@@ -84,9 +84,8 @@ if want cost; then
   echo "cost-aware fleet report byte-identical across shard counts"
 fi
 
-# vTPM multiplexing on both hardware modes (batch pipelining is
-# background-only, so neither the shard count nor the batch size may
-# show in the render).
+# vTPM multiplexing on both hardware modes: the shard count must not
+# show in the render.
 if want vtpm; then
   for mode in current proposed; do
     case "$mode" in
