@@ -446,7 +446,8 @@ let rebalance st ~down ~dead ~base =
         | _, Server.Current -> `None (* no residents: pure routing *)
         | Autoscale.Spread, Server.Proposed -> `Spread `Slaunch
         | _, Server.Proposed -> `Migrate
-        | _, Server.Sfi -> `Spread (`Software (Time.us 25.))
+        | _, Server.Sfi ->
+            `Spread (`Software Sea_core.Backend.(sfi.extra_cost Op_launch))
       in
       let up m = (not down.(m)) && not dead.(m) in
       Array.iteri
