@@ -31,13 +31,6 @@ let step t ev =
   | Ok s -> t.state <- s
   | Error e -> invalid_arg ("Slaunch_session: " ^ e)
 
-(* SLAUNCH and sealed storage run under the TPM's installed retry policy;
-   without a TPM, SLAUNCH fails once. *)
-let retrying (m : Machine.t) f =
-  match m.Machine.tpm with
-  | Some tpm -> Sea_tpm.Tpm.retrying tpm f
-  | None -> f ()
-
 let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
     ?on_report ?tpm_cap pal ~input =
   if not m.Machine.config.Machine.proposed then
@@ -79,7 +72,9 @@ let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
       Sea_trace.Trace.with_span m.Machine.engine ~cat:"session"
         ~args:(fun () -> [ ("pal", Sea_trace.Trace.Str pal.Pal.name) ])
         "slaunch-start"
-        (fun () -> retrying m (fun () -> Insn.slaunch m ~cpu secb))
+        (fun () ->
+          Sea_tpm.Tpm.retrying (Machine.tpm_exn m) (fun () ->
+              Insn.slaunch m ~cpu secb))
     with
     | Error e ->
         Machine.free_pages m pages;
@@ -108,11 +103,12 @@ let services t ~cpu =
   {
     Pal.seal =
       (fun data ->
-        retrying m (fun () ->
+        Sea_tpm.Tpm.retrying tpm (fun () ->
             cap.Sea_tpm.Cap.seal ~caller ~sepcr ~pcr_policy:[] data));
     unseal =
       (fun blob ->
-        retrying m (fun () -> cap.Sea_tpm.Cap.unseal ~caller ~sepcr blob));
+        Sea_tpm.Tpm.retrying tpm (fun () ->
+            cap.Sea_tpm.Cap.unseal ~caller ~sepcr blob));
     get_random = (fun n -> cap.Sea_tpm.Cap.get_random n);
     extend_measurement =
       (* The measurement chain is the hardware sePCR — a capability never
@@ -220,7 +216,8 @@ let resume t ~cpu =
         ~args:(fun () -> [ ("pal", Sea_trace.Trace.Str t.pal.Pal.name) ])
         "slaunch-resume"
         (fun () ->
-          retrying t.machine (fun () -> Insn.slaunch t.machine ~cpu t.secb))
+          Sea_tpm.Tpm.retrying (Machine.tpm_exn t.machine) (fun () ->
+              Insn.slaunch t.machine ~cpu t.secb))
     with
     | Error e -> Error e
     | Ok (Insn.Launched _) -> Error "suspended SECB was re-measured"
