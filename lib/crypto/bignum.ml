@@ -56,13 +56,14 @@ let compare a b =
     in
     go (la - 1)
 
+(* Significant bits in one limb. *)
+let limb_width v =
+  let rec go n v = if v = 0 then n else go (n + 1) (v lsr 1) in
+  go 0 v
+
 let bit_length a =
   let l = Array.length a in
-  if l = 0 then 0
-  else
-    let top = a.(l - 1) in
-    let rec msb n v = if v = 0 then n else msb (n + 1) (v lsr 1) in
-    ((l - 1) * limb_bits) + msb 0 top
+  if l = 0 then 0 else ((l - 1) * limb_bits) + limb_width a.(l - 1)
 
 let test_bit a i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -163,24 +164,77 @@ let shift_right a n =
     end
   end
 
+(* One pass from the top limb down for a divisor [d] below 2^31:
+   [r * 2^31 + limb] stays below 2^62. *)
+let divmod_limb a d =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let cur = (!r lsl limb_bits) lor a.(i) in
+    let qi = cur / d in
+    q.(i) <- qi;
+    r := cur - (qi * d)
+  done;
+  (normalize q, of_int !r)
+
+(* Knuth's algorithm D (TAOCP vol. 2, 4.3.1) for a divisor of n >= 2 limbs
+   and [a >= b]. Both operands are shifted so the divisor's top limb has
+   bit 30 set; each quotient limb is then estimated from the top two limbs
+   of the running remainder, corrected against the divisor's second limb,
+   and is at most one too large, which the add-back step repairs. *)
+let divmod_knuth a b =
+  let n = Array.length b in
+  let s = limb_bits - limb_width b.(n - 1) in
+  let v = shift_left b s in
+  let m = Array.length a - n in
+  let u = Array.make (Array.length a + 1) 0 in
+  let a' = shift_left a s in
+  Array.blit a' 0 u 0 (Array.length a');
+  let q = Array.make (m + 1) 0 in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  for j = m downto 0 do
+    (* qhat <= 2^31 + 1 here, so qhat * vnext stays within max_int. *)
+    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) in
+    let rhat = ref (num - (!qhat * vtop)) in
+    while
+      !rhat < limb_base
+      && (!qhat >= limb_base
+         || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j..j+n] -= qhat * v *)
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let p = !qhat * v.(i) in
+      let t = u.(i + j) - !borrow - (p land limb_mask) in
+      u.(i + j) <- t land limb_mask;
+      borrow := (p lsr limb_bits) - (t asr limb_bits)
+    done;
+    let t = u.(j + n) - !borrow in
+    u.(j + n) <- t land limb_mask;
+    if t < 0 then begin
+      (* qhat was one too large: add v back once. *)
+      decr qhat;
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let s = u.(i + j) + v.(i) + !carry in
+        u.(i + j) <- s land limb_mask;
+        carry := s lsr limb_bits
+      done;
+      u.(j + n) <- (u.(j + n) + !carry) land limb_mask
+    end;
+    q.(j) <- !qhat
+  done;
+  (normalize q, shift_right (normalize (Array.sub u 0 n)) s)
+
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
-  else begin
-    (* Binary long division: walk the divisor down from the top bit. *)
-    let shift = bit_length a - bit_length b in
-    let q = Array.make (shift / limb_bits + 1) 0 in
-    let r = ref a in
-    let d = ref (shift_left b shift) in
-    for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end;
-      d := shift_right !d 1
-    done;
-    (normalize q, !r)
-  end
+  else if Array.length b = 1 then divmod_limb a b.(0)
+  else divmod_knuth a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -205,73 +259,88 @@ let inv_limb x =
   done;
   !y land limb_mask
 
-type mont = { m : t; k : int; m0' : int }
+(* The [i]th [width]-bit digit of [a] (width <= 31), least significant
+   first; zero past the top. *)
+let digit a ~width i =
+  let bit = i * width in
+  let limb = bit / limb_bits and off = bit mod limb_bits in
+  let la = Array.length a in
+  let lo = if limb < la then a.(limb) lsr off else 0 in
+  let hi =
+    if off + width > limb_bits && limb + 1 < la then a.(limb + 1) lsl (limb_bits - off)
+    else 0
+  in
+  (lo lor hi) land ((1 lsl width) - 1)
 
-let mont_of_modulus m =
+(* Montgomery product over k-limb arrays (k = length of [m], operands
+   below [m]): [dst] gets a*b*2^(-31k) mod m. Each row of the product is
+   folded into one reduction step (CIOS) in the (k+1)-limb scratch [t],
+   with two carries so no sum exceeds (2^31-1)^2 + 2(2^31-1) = max_int.
+   [dst] may alias [a] or [b]. *)
+let mont_mul_into ~m ~m0' ~t dst a b =
+  let k = Array.length m in
+  Array.fill t 0 (k + 1) 0;
+  for i = 0 to k - 1 do
+    let ai = a.(i) in
+    let s = t.(0) + (ai * b.(0)) in
+    let lo = s land limb_mask in
+    let u = lo * m0' land limb_mask in
+    let c1 = ref (s lsr limb_bits) in
+    let c2 = ref ((lo + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let s = t.(j) + (ai * b.(j)) + !c1 in
+      c1 := s lsr limb_bits;
+      let s = (s land limb_mask) + (u * m.(j)) + !c2 in
+      c2 := s lsr limb_bits;
+      t.(j - 1) <- s land limb_mask
+    done;
+    let s = t.(k) + !c1 + !c2 in
+    t.(k - 1) <- s land limb_mask;
+    t.(k) <- s lsr limb_bits
+  done;
+  (* t < 2m: subtract m once if t >= m. *)
+  let rec below j = j >= 0 && (t.(j) < m.(j) || (t.(j) = m.(j) && below (j - 1))) in
+  if t.(k) = 0 && below (k - 1) then Array.blit t 0 dst 0 k
+  else begin
+    let borrow = ref 0 in
+    for j = 0 to k - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      dst.(j) <- d land limb_mask;
+      borrow := (d asr limb_bits) land 1
+    done
+  end
+
+(* Fixed 4-bit windows over the exponent, top window first, against a
+   table of base^1 .. base^15 in Montgomery form. *)
+let mod_pow_mont ~base ~exp ~m =
   let k = Array.length m in
   let m0' = limb_base - inv_limb m.(0) in
-  { m; k; m0' }
-
-(* REDC: given t < m * base^k (as a (2k+1)-limb buffer), compute
-   t * base^(-k) mod m in place, returning a fresh canonical value. *)
-let mont_redc ctx (t : int array) =
-  let { m; k; m0' } = ctx in
-  for i = 0 to k - 1 do
-    let u = t.(i) * m0' land limb_mask in
-    let carry = ref 0 in
-    for j = 0 to k - 1 do
-      let cur = t.(i + j) + (u * m.(j)) + !carry in
-      t.(i + j) <- cur land limb_mask;
-      carry := cur lsr limb_bits
+  let t = Array.make (k + 1) 0 in
+  let mul dst a b = mont_mul_into ~m ~m0' ~t dst a b in
+  let limbs v =
+    let r = Array.make k 0 in
+    Array.blit v 0 r 0 (Array.length v);
+    r
+  in
+  (* R^2 mod m, R = 2^(31k), turns base into base*R mod m. *)
+  let r2 = limbs (rem (shift_left one (2 * k * limb_bits)) m) in
+  let table = Array.init 16 (fun _ -> Array.make k 0) in
+  mul table.(1) (limbs (rem base m)) r2;
+  for w = 2 to 15 do
+    mul table.(w) table.(w - 1) table.(1)
+  done;
+  let windows = (bit_length exp + 3) / 4 in
+  let acc = Array.copy table.(digit exp ~width:4 (windows - 1)) in
+  for i = windows - 2 downto 0 do
+    for _ = 1 to 4 do
+      mul acc acc acc
     done;
-    let idx = ref (i + k) in
-    while !carry <> 0 do
-      let cur = t.(!idx) + !carry in
-      t.(!idx) <- cur land limb_mask;
-      carry := cur lsr limb_bits;
-      incr idx
-    done
+    let w = digit exp ~width:4 i in
+    if w <> 0 then mul acc acc table.(w)
   done;
-  let r = normalize (Array.sub t k (Array.length t - k)) in
-  if compare r m >= 0 then sub r m else r
-
-let mont_mul ctx a b =
-  let buf = Array.make ((2 * ctx.k) + 1) 0 in
-  let la = Array.length a and lb = Array.length b in
-  for i = 0 to la - 1 do
-    let carry = ref 0 in
-    let ai = a.(i) in
-    for j = 0 to lb - 1 do
-      let cur = buf.(i + j) + (ai * b.(j)) + !carry in
-      buf.(i + j) <- cur land limb_mask;
-      carry := cur lsr limb_bits
-    done;
-    let idx = ref (i + lb) in
-    while !carry <> 0 do
-      let cur = buf.(!idx) + !carry in
-      buf.(!idx) <- cur land limb_mask;
-      carry := cur lsr limb_bits;
-      incr idx
-    done
-  done;
-  mont_redc ctx buf
-
-let mod_pow_mont ~base ~exp ~m =
-  let ctx = mont_of_modulus m in
-  let k = ctx.k in
-  (* R mod m and base*R mod m via division (setup cost only). *)
-  let r_mod_m = rem (shift_left one (k * limb_bits)) m in
-  let base_m = rem (mul (rem base m) (rem (shift_left one (k * limb_bits)) m)) m in
-  let acc = ref r_mod_m in
-  let nbits = bit_length exp in
-  for i = nbits - 1 downto 0 do
-    acc := mont_mul ctx !acc !acc;
-    if test_bit exp i then acc := mont_mul ctx !acc base_m
-  done;
-  (* Convert out of Montgomery form: multiply by 1. *)
-  let buf = Array.make ((2 * k) + 1) 0 in
-  Array.blit !acc 0 buf 0 (Array.length !acc);
-  mont_redc ctx buf
+  (* Out of Montgomery form: multiply by 1. *)
+  mul acc acc (limbs one);
+  normalize acc
 
 let mod_pow ~base ~exp ~m =
   if is_zero m then raise Division_by_zero;
@@ -309,10 +378,26 @@ let mod_inverse a ~m =
     if equal !r one then Some !t else None
   end
 
-let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+(* The value whose [n] digits of [width] bits, most significant first,
+   are [digit 0] .. [digit (n - 1)]: one pass from the last digit,
+   emitting each limb as it fills. *)
+let pack ~width n digit =
+  let r = Array.make (((n * width) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (digit i lsl !bits);
+    bits := !bits + width;
+    if !bits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr k
+    end
+  done;
+  if !bits > 0 then r.(!k) <- !acc;
+  normalize r
+
+let of_bytes_be s = pack ~width:8 (String.length s) (fun i -> Char.code s.[i])
 
 let to_bytes_be ?pad_to a =
   let nbytes = (bit_length a + 7) / 8 in
@@ -324,16 +409,7 @@ let to_bytes_be ?pad_to a =
         if w < nbytes then invalid_arg "Bignum.to_bytes_be: value exceeds pad_to";
         w
   in
-  let b = Bytes.make width '\000' in
-  let v = ref a in
-  for i = width - 1 downto 0 do
-    let byte =
-      match to_int_opt (rem !v (of_int 256)) with Some x -> x | None -> assert false
-    in
-    Bytes.set b i (Char.chr byte);
-    v := shift_right !v 8
-  done;
-  Bytes.to_string b
+  String.init width (fun i -> Char.chr (digit a ~width:8 (width - 1 - i)))
 
 let of_hex s =
   let digit c =
@@ -343,25 +419,13 @@ let of_hex s =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> invalid_arg "Bignum.of_hex: invalid character"
   in
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 4) (of_int (digit c))) s;
-  !acc
+  pack ~width:4 (String.length s) (fun i -> digit s.[i])
 
 let to_hex a =
   if is_zero a then "0"
-  else begin
-    let digits = Buffer.create 32 in
-    let v = ref a in
-    while not (is_zero !v) do
-      let d =
-        match to_int_opt (rem !v (of_int 16)) with Some x -> x | None -> assert false
-      in
-      Buffer.add_char digits "0123456789abcdef".[d];
-      v := shift_right !v 4
-    done;
-    let s = Buffer.contents digits in
-    String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
-  end
+  else
+    let n = (bit_length a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[digit a ~width:4 (n - 1 - i)])
 
 let of_random_bits gen bits =
   if bits <= 0 then zero

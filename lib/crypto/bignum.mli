@@ -2,9 +2,10 @@
 
     Built from scratch (no Zarith) to support the TPM's RSA operations.
     Values are immutable. Only naturals are represented; subtraction of a
-    larger value from a smaller one raises. The sizes involved (≤ 4096 bits)
-    make schoolbook algorithms entirely adequate; modular exponentiation
-    uses Montgomery multiplication for odd moduli.
+    larger value from a smaller one raises. Every algorithm works a limb
+    at a time: schoolbook multiplication, Knuth's algorithm D for
+    division, single-pass byte and hex conversion, and Montgomery
+    exponentiation for odd moduli.
 
     Internal representation: little-endian array of 31-bit limbs, with no
     most-significant zero limb (canonical form). *)
@@ -63,9 +64,11 @@ val mod_sub : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
 
 val mod_pow : base:t -> exp:t -> m:t -> t
-(** Modular exponentiation. Uses Montgomery multiplication when [m] is odd,
-    and plain square-and-multiply with division otherwise. Raises
-    [Division_by_zero] if [m] is zero. *)
+(** Modular exponentiation. When [m] is odd it runs fixed 4-bit windows
+    over the exponent with Montgomery products on k-limb arrays (k limbs
+    in [m]) and one scratch buffer per call; R² mod m, R = 2{^31k}, comes
+    from one division. Otherwise it is square-and-multiply with
+    division. Raises [Division_by_zero] if [m] is zero. *)
 
 val gcd : t -> t -> t
 

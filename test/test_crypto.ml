@@ -268,6 +268,159 @@ let prop_mod_inverse_correct =
       | None -> not (Bignum.equal (Bignum.gcd a m) Bignum.one)
       | Some inv -> Bignum.equal (Bignum.mod_mul a inv ~m) (Bignum.rem Bignum.one m))
 
+(* --- Bignum: word-level algorithms against bit-level references --- *)
+
+(* The bit-serial long division Bignum used before algorithm D, kept as
+   the reference the word-level division is checked against. *)
+let divmod_bitwise a b =
+  if Bignum.compare a b < 0 then (Bignum.zero, a)
+  else begin
+    let shift = Bignum.bit_length a - Bignum.bit_length b in
+    let q = ref Bignum.zero and r = ref a in
+    let d = ref (Bignum.shift_left b shift) in
+    for i = shift downto 0 do
+      if Bignum.compare !r !d >= 0 then begin
+        r := Bignum.sub !r !d;
+        q := Bignum.add !q (Bignum.shift_left Bignum.one i)
+      end;
+      d := Bignum.shift_right !d 1
+    done;
+    (!q, !r)
+  end
+
+let of_limbs limbs =
+  List.fold_left
+    (fun acc l -> Bignum.add (Bignum.shift_left acc 31) (Bignum.of_int l))
+    Bignum.zero limbs
+
+(* Limbs, most significant first, biased to the values that exercise
+   algorithm D's estimate and carries: 0, 1, 2^30 and 2^31 - 1. The top
+   limb of a divisor is never 0, so its limb count is exact. *)
+let gen_limbs ~nonzero_top n =
+  QCheck.Gen.(
+    let limb =
+      frequency
+        [ (1, return 0); (1, return 1); (1, return (1 lsl 30)); (1, return ((1 lsl 31) - 1));
+          (2, int_bound ((1 lsl 31) - 1)) ]
+    in
+    list_repeat n limb >|= fun ls ->
+    match ls with
+    | 0 :: rest when nonzero_top -> 1 :: rest
+    | ls -> ls)
+
+let arb_division =
+  QCheck.make
+    ~print:(fun (a, b) -> Bignum.to_hex a ^ " / " ^ Bignum.to_hex b)
+    QCheck.Gen.(
+      oneof [ return 1; return 2; int_range 3 6 ] >>= fun nb ->
+      int_range 1 12 >>= fun na ->
+      pair (gen_limbs ~nonzero_top:false na >|= of_limbs)
+        (gen_limbs ~nonzero_top:true nb >|= of_limbs))
+
+let prop_divmod_matches_bitwise =
+  QCheck.Test.make ~name:"divmod matches the bit-serial reference" ~count:1000 arb_division
+    (fun (a, b) ->
+      let q, r = Bignum.divmod a b and q', r' = divmod_bitwise a b in
+      Bignum.equal q q' && Bignum.equal r r')
+
+let test_divmod_add_back () =
+  (* Algorithm D's first estimate of the low quotient limb is 2^30, one
+     too large, so this division takes the add-back step. *)
+  let a = Bignum.of_hex "7fffffff00000000000000080000000"
+  and b = Bignum.of_hex "1fffffffc00000007fffffff" in
+  let q, r = Bignum.divmod a b in
+  check bn "quotient" (Bignum.of_hex "3fffffff") q;
+  check bn "remainder" (Bignum.of_hex "1fffffffa00000013fffffff") r;
+  let q', r' = divmod_bitwise a b in
+  check bn "reference quotient" q' q;
+  check bn "reference remainder" r' r
+
+(* Shift-and-add decoders and bit-at-a-time encoders. *)
+let of_digits_ref ~width digit s =
+  String.fold_left
+    (fun acc c -> Bignum.add (Bignum.shift_left acc width) (Bignum.of_int (digit c)))
+    Bignum.zero s
+
+let digit_ref a ~width i =
+  let v = ref 0 in
+  for j = width - 1 downto 0 do
+    v := (!v lsl 1) lor if Bignum.test_bit a ((i * width) + j) then 1 else 0
+  done;
+  !v
+
+let hex_digit c = int_of_string ("0x" ^ String.make 1 c)
+
+(* Lengths on both sides of the 31-bit limb boundaries at 31, 62, 93 and
+   124 bits, in bytes and in hex digits. *)
+let byte_lengths = [ 0; 1; 3; 4; 7; 8; 11; 12; 15; 16; 64; 65 ]
+let hex_lengths = [ 1; 7; 8; 15; 16; 23; 24; 31; 32; 128; 129 ]
+
+let prop_bytes_match_reference =
+  QCheck.Test.make ~name:"bytes roundtrip against shift-and-add" ~count:300
+    QCheck.(make ~print:(fun s -> Printf.sprintf "%S" s)
+              Gen.(oneofl byte_lengths >>= fun n -> string_size ~gen:char (return n)))
+    (fun s ->
+      let v = Bignum.of_bytes_be s in
+      let len = String.length s in
+      let nbytes = max 1 ((Bignum.bit_length v + 7) / 8) in
+      let expected = String.init nbytes (fun i -> Char.chr (digit_ref v ~width:8 (nbytes - 1 - i))) in
+      Bignum.equal v (of_digits_ref ~width:8 Char.code s)
+      && Bignum.to_bytes_be v = expected
+      && (len = 0 || Bignum.to_bytes_be ~pad_to:len v = s)
+      && Bignum.to_bytes_be ~pad_to:(len + 5) v = String.make (len + 5 - nbytes) '\000' ^ expected
+      && String.length (Bignum.to_bytes_be v) <= max 1 len)
+
+let prop_hex_matches_reference =
+  QCheck.Test.make ~name:"hex roundtrip against shift-and-add" ~count:300
+    QCheck.(make ~print:Fun.id
+              Gen.(oneofl hex_lengths >>= fun n ->
+                   string_size ~gen:(oneofl (List.init 16 (fun d -> "0123456789abcdef".[d]))) (return n)))
+    (fun h ->
+      let v = Bignum.of_hex h in
+      let n = max 1 ((Bignum.bit_length v + 3) / 4) in
+      let expected = String.init n (fun i -> "0123456789abcdef".[digit_ref v ~width:4 (n - 1 - i)]) in
+      Bignum.equal v (of_digits_ref ~width:4 hex_digit h)
+      && Bignum.to_hex v = expected
+      && Bignum.equal (Bignum.of_hex (String.uppercase_ascii h)) v)
+
+(* Square-and-multiply with mod_mul: the reference for the windowed
+   Montgomery exponentiation. *)
+let mod_pow_ref ~base ~exp ~m =
+  let acc = ref (Bignum.rem Bignum.one m) and b = ref (Bignum.rem base m) in
+  for i = 0 to Bignum.bit_length exp - 1 do
+    if Bignum.test_bit exp i then acc := Bignum.mod_mul !acc !b ~m;
+    b := Bignum.mod_mul !b !b ~m
+  done;
+  !acc
+
+let arb_mod_pow =
+  let value_of_bytes n = QCheck.Gen.(string_size ~gen:char (return n) >|= Bignum.of_bytes_be) in
+  QCheck.make
+    ~print:(fun (b, e, m) ->
+      Printf.sprintf "base %s exp %s m %s" (Bignum.to_hex b) (Bignum.to_hex e) (Bignum.to_hex m))
+    QCheck.Gen.(
+      int_range 1 70 >>= fun mlen ->
+      (* Exponent bit lengths that are not multiples of the 4-bit window. *)
+      oneofl [ 1; 2; 3; 5; 17; 31; 62; 127; 257 ] >>= fun ebits ->
+      triple (value_of_bytes (mlen + 2))
+        (value_of_bytes ((ebits + 7) / 8) >|= fun e ->
+         Bignum.add (Bignum.rem e (Bignum.shift_left Bignum.one (ebits - 1)))
+           (Bignum.shift_left Bignum.one (ebits - 1)))
+        (frequency
+           [ (3, value_of_bytes mlen >|= fun m ->
+                 Bignum.add (Bignum.shift_left (Bignum.shift_right m 1) 1) Bignum.one);
+             (* Just below a limb boundary, where Montgomery products most
+                often land in [m, 2m) and need the final subtraction. *)
+             (1, int_bound 1000 >|= fun r ->
+                 let top = Bignum.shift_left Bignum.one (31 * ((mlen + 3) / 4)) in
+                 Bignum.sub top (Bignum.of_int ((2 * r) + 1))) ]))
+
+let prop_mod_pow_matches_reference =
+  QCheck.Test.make ~name:"mod_pow matches square-and-multiply, odd moduli of 1-70 bytes"
+    ~count:200 arb_mod_pow (fun (base, exp, m) ->
+      Bignum.bit_length exp mod 4 <> 0
+      && Bignum.equal (Bignum.mod_pow ~base ~exp ~m) (mod_pow_ref ~base ~exp ~m))
+
 (* --- RSA --- *)
 
 let drbg () = Drbg.create ~seed:"test-crypto-rsa"
@@ -282,6 +435,32 @@ let test_rsa_sign_verify () =
   let tampered = String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s in
   checkb "tampered signature" false (Rsa.verify key.Rsa.pub ~msg ~signature:tampered);
   checkb "wrong length" false (Rsa.verify key.Rsa.pub ~msg ~signature:"short")
+
+(* EMSA-PKCS1-v1_5 over SHA-1, rebuilt here so the CRT signature can be
+   compared with the plain exponentiation it replaces. *)
+let emsa_sha1 ~em_len msg =
+  let t = "\x30\x21\x30\x09\x06\x05\x2b\x0e\x03\x02\x1a\x05\x00\x04\x14" ^ Sha1.digest msg in
+  "\x00\x01" ^ String.make (em_len - String.length t - 3) '\xff' ^ "\x00" ^ t
+
+let test_rsa_crt_matches_plain () =
+  let labels = List.map (fun (label, _, _) -> label) Embedded_keys.table in
+  let keys =
+    List.map (fun label -> (label, 2048)) labels
+    @ List.filter_map (fun label -> if label = "privacy-ca" then None else Some (label, 512)) labels
+  in
+  Alcotest.(check int) "privacy CA, ten at 2048, ten at 512" 21 (List.length keys);
+  List.iter
+    (fun (label, bits) ->
+      let key = Keyvault.get ~label ~bits in
+      let em_len = Rsa.key_bytes key.Rsa.pub in
+      let msg = "crt cross-check " ^ label in
+      let m = Bignum.of_bytes_be (emsa_sha1 ~em_len msg) in
+      checks
+        (Printf.sprintf "%s/%d" label bits)
+        (Bignum.to_bytes_be ~pad_to:em_len
+           (Bignum.mod_pow ~base:m ~exp:key.Rsa.d ~m:key.Rsa.pub.Rsa.n))
+        (Rsa.sign key msg))
+    keys
 
 let test_rsa_encrypt_decrypt () =
   let d = drbg () in
@@ -496,6 +675,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_shift_mul;
           QCheck_alcotest.to_alcotest prop_modpow_matches_naive;
           QCheck_alcotest.to_alcotest prop_mod_inverse_correct;
+          QCheck_alcotest.to_alcotest prop_divmod_matches_bitwise;
+          Alcotest.test_case "divmod add-back step" `Quick test_divmod_add_back;
+          QCheck_alcotest.to_alcotest prop_bytes_match_reference;
+          QCheck_alcotest.to_alcotest prop_hex_matches_reference;
+          QCheck_alcotest.to_alcotest prop_mod_pow_matches_reference;
         ] );
       ( "rsa",
         [
@@ -505,6 +689,7 @@ let () =
           Alcotest.test_case "deterministic from seed" `Quick test_rsa_deterministic_from_seed;
           Alcotest.test_case "modulus size" `Quick test_rsa_modulus_size;
           Alcotest.test_case "Miller-Rabin" `Quick test_miller_rabin;
+          Alcotest.test_case "CRT sign matches plain exponent" `Quick test_rsa_crt_matches_plain;
         ] );
       ( "drbg",
         [
