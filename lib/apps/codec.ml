@@ -26,8 +26,7 @@ let rsa_private_of_string s =
   let d = Wire.decoder s in
   let read () = Option.map Bignum.of_bytes_be (Wire.read_string d) in
   match (read (), read (), read (), read (), read ()) with
-  | Some n, Some e, Some dd, Some p, Some q ->
-      Some { Rsa.pub = { Rsa.n; e }; d = dd; p; q }
+  | Some n, Some e, Some dd, Some p, Some q -> Rsa.make_private ~n ~e ~d:dd ~p ~q
   | _ -> None
 
 let rsa_public_to_string (pub : Rsa.public) =

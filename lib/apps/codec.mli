@@ -11,5 +11,8 @@ val parse_command : string -> (string * string list) option
 
 val rsa_private_to_string : Sea_crypto.Rsa.private_key -> string
 val rsa_private_of_string : string -> Sea_crypto.Rsa.private_key option
+(** Decodes the n, e, d, p, q fields; [None] on malformed input or when
+    p·q ≠ n (see {!Sea_crypto.Rsa.make_private}). *)
+
 val rsa_public_to_string : Sea_crypto.Rsa.public -> string
 val rsa_public_of_string : string -> Sea_crypto.Rsa.public option

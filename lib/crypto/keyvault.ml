@@ -14,8 +14,8 @@ let of_primes p_hex q_hex =
   let n = mul p q in
   let e = of_int 65537 in
   let phi = mul (sub p one) (sub q one) in
-  match mod_inverse e ~m:phi with
-  | Some d -> { Rsa.pub = { Rsa.n; e }; d; p; q }
+  match Option.bind (mod_inverse e ~m:phi) (fun d -> Rsa.make_private ~n ~e ~d ~p ~q) with
+  | Some key -> key
   | None -> invalid_arg "Keyvault: embedded primes do not admit e = 65537"
 
 let embedded ~label ~bits =

@@ -1,5 +1,22 @@
 type public = { n : Bignum.t; e : Bignum.t }
-type private_key = { pub : public; d : Bignum.t; p : Bignum.t; q : Bignum.t }
+type private_key = {
+  pub : public;
+  d : Bignum.t;
+  p : Bignum.t;
+  q : Bignum.t;
+  dp : Bignum.t;
+  dq : Bignum.t;
+  qinv : Bignum.t;
+}
+
+let make_private ~n ~e ~d ~p ~q =
+  let open Bignum in
+  if compare p one <= 0 || compare q one <= 0 || not (equal (mul p q) n) then None
+  else
+    Option.map
+      (fun qinv ->
+        { pub = { n; e }; d; p; q; dp = rem d (sub p one); dq = rem d (sub q one); qinv })
+      (mod_inverse q ~m:p)
 
 let small_primes =
   [
@@ -85,9 +102,11 @@ let generate ?(e = 65537) ~bits drbg =
       if bit_length n <> bits then go ()
       else begin
         let phi = mul (sub p one) (sub q one) in
-        match mod_inverse e_big ~m:phi with
+        match
+          Option.bind (mod_inverse e_big ~m:phi) (fun d -> make_private ~n ~e:e_big ~d ~p ~q)
+        with
         | None -> go ()
-        | Some d -> { pub = { n; e = e_big }; d; p; q }
+        | Some key -> key
       end
     end
   in
@@ -107,12 +126,19 @@ let emsa_pkcs1_v15 ~em_len digest =
   let ps = String.make (em_len - t_len - 3) '\xff' in
   "\x00\x01" ^ ps ^ "\x00" ^ t
 
+(* c^d mod n by the CRT: two half-size exponentiations, recombined by
+   Garner's formula. *)
+let private_op key c =
+  let open Bignum in
+  let m1 = mod_pow ~base:c ~exp:key.dp ~m:key.p in
+  let m2 = mod_pow ~base:c ~exp:key.dq ~m:key.q in
+  let h = mod_mul key.qinv (mod_sub m1 m2 ~m:key.p) ~m:key.p in
+  add m2 (mul h key.q)
+
 let sign key msg =
   let em_len = key_bytes key.pub in
   let em = emsa_pkcs1_v15 ~em_len (Sha1.digest msg) in
-  let m = Bignum.of_bytes_be em in
-  let s = Bignum.mod_pow ~base:m ~exp:key.d ~m:key.pub.n in
-  Bignum.to_bytes_be ~pad_to:em_len s
+  Bignum.to_bytes_be ~pad_to:em_len (private_op key (Bignum.of_bytes_be em))
 
 let verify pub ~msg ~signature =
   let em_len = key_bytes pub in
@@ -154,8 +180,7 @@ let decrypt key ciphertext =
     let c = Bignum.of_bytes_be ciphertext in
     if Bignum.compare c key.pub.n >= 0 then None
     else begin
-      let m = Bignum.mod_pow ~base:c ~exp:key.d ~m:key.pub.n in
-      let em = Bignum.to_bytes_be ~pad_to:k m in
+      let em = Bignum.to_bytes_be ~pad_to:k (private_op key c) in
       if String.length em < 11 || em.[0] <> '\000' || em.[1] <> '\002' then None
       else begin
         (* Find the 00 separator after at least 8 padding bytes. *)

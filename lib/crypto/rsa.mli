@@ -2,8 +2,9 @@
 
     Provides key generation (Miller–Rabin), PKCS#1 v1.5 signatures with a
     SHA-1 DigestInfo (what a v1.2 TPM's Quote produces), and PKCS#1 v1.5
-    type-2 encryption (used for Seal blobs). Sizes up to 2048 bits are
-    practical with the [Bignum] substrate.
+    type-2 encryption (used for Seal blobs). Private operations use the
+    CRT: two exponentiations modulo p and q of half the modulus size, a
+    quarter of the work of one modulo n, with the same result.
 
     This is a faithful-mechanism model, not hardened production crypto: no
     blinding, no constant-time guarantees — the "hardware" it runs inside is
@@ -16,7 +17,17 @@ type private_key = {
   d : Bignum.t;
   p : Bignum.t;
   q : Bignum.t;
+  dp : Bignum.t;  (** d mod (p − 1) *)
+  dq : Bignum.t;  (** d mod (q − 1) *)
+  qinv : Bignum.t;  (** q⁻¹ mod p *)
 }
+(** Build keys with {!make_private}, which derives the CRT fields. *)
+
+val make_private :
+  n:Bignum.t -> e:Bignum.t -> d:Bignum.t -> p:Bignum.t -> q:Bignum.t -> private_key option
+(** The key with modulus [n = p·q], public exponent [e], private exponent
+    [d] and the CRT fields derived from them. [None] unless [p] and [q]
+    exceed 1, [p·q = n] and [q] is invertible modulo [p]. *)
 
 val generate : ?e:int -> bits:int -> Drbg.t -> private_key
 (** [generate ~bits drbg] creates a key with a modulus of exactly [bits]

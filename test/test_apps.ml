@@ -34,7 +34,10 @@ let test_codec_rsa_roundtrip () =
       checkb "public roundtrip" true
         (Sea_crypto.Bignum.equal p.Sea_crypto.Rsa.n key.Sea_crypto.Rsa.pub.Sea_crypto.Rsa.n)
   | None -> Alcotest.fail "public roundtrip failed");
-  checkb "garbage public rejected" true (Codec.rsa_public_of_string "xx" = None)
+  checkb "garbage public rejected" true (Codec.rsa_public_of_string "xx" = None);
+  let wrong_q = { key with Sea_crypto.Rsa.q = Sea_crypto.Bignum.add key.Sea_crypto.Rsa.q Sea_crypto.Bignum.two } in
+  checkb "p*q <> n rejected" true
+    (Codec.rsa_private_of_string (Codec.rsa_private_to_string wrong_q) = None)
 
 (* --- Certificate authority --- *)
 
