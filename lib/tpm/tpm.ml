@@ -35,6 +35,21 @@ let certify_aik (aik_pub : Rsa.public) =
   Wire.add_string enc (Bignum.to_bytes_be aik_pub.Rsa.e);
   Rsa.sign (privacy_ca ()) ("AIK-CERT" ^ Wire.contents enc)
 
+(* The certificate is a deterministic signature over a vault key, so each
+   (AIK label, bits) is signed once per process, like [Keyvault]'s keys.
+   The lock lets machines be built on any domain. *)
+let aik_certs : (string * int, string) Hashtbl.t = Hashtbl.create 7
+let aik_certs_lock = Mutex.create ()
+
+let aik_certificate_of ~label ~bits (aik : Rsa.private_key) =
+  Mutex.protect aik_certs_lock (fun () ->
+      match Hashtbl.find_opt aik_certs (label, bits) with
+      | Some cert -> cert
+      | None ->
+          let cert = certify_aik aik.Rsa.pub in
+          Hashtbl.add aik_certs (label, bits) cert;
+          cert)
+
 let verify_aik_certificate ~ca ~(aik : Rsa.public) cert =
   let enc = Wire.encoder () in
   Wire.add_string enc (Bignum.to_bytes_be aik.Rsa.n);
@@ -52,7 +67,8 @@ let create ?(vendor = Vendor.Broadcom) ?profile ?(key_bits = 2048) ?(sepcr_count
   let instance = Atomic.fetch_and_add instance_counter 1 + 1 in
   let tag = Printf.sprintf "%s#%d" (Vendor.name vendor) instance in
   let srk = Keyvault.get ~label:("srk:" ^ Vendor.name vendor) ~bits:key_bits in
-  let aik = Keyvault.get ~label:("aik:" ^ Vendor.name vendor) ~bits:key_bits in
+  let aik_label = "aik:" ^ Vendor.name vendor in
+  let aik = Keyvault.get ~label:aik_label ~bits:key_bits in
   {
     vendor;
     profile;
@@ -62,7 +78,7 @@ let create ?(vendor = Vendor.Broadcom) ?profile ?(key_bits = 2048) ?(sepcr_count
     sepcrs = (if sepcr_count > 0 then Some (Sepcr.create ~size:sepcr_count) else None);
     srk;
     aik;
-    aik_cert = certify_aik aik.Rsa.pub;
+    aik_cert = aik_certificate_of ~label:aik_label ~bits:key_bits aik;
     drbg = Drbg.create ~seed:("tpm-drbg:" ^ tag);
     (* Jitter derives from the engine's deterministic stream so that two
        identically configured machines replay identical timelines. *)

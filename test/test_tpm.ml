@@ -219,7 +219,15 @@ let test_aik_certificate () =
     (Tpm.verify_aik_certificate ~ca ~aik:(Tpm.aik_public tpm) (Tpm.aik_certificate tpm));
   let _, other = fresh ~vendor:Vendor.Infineon () in
   checkb "cert bound to key" false
-    (Tpm.verify_aik_certificate ~ca ~aik:(Tpm.aik_public other) (Tpm.aik_certificate tpm))
+    (Tpm.verify_aik_certificate ~ca ~aik:(Tpm.aik_public other) (Tpm.aik_certificate tpm));
+  (* One certificate per (AIK, key size), whichever domain builds the TPM. *)
+  let _, second = Domain.join (Domain.spawn (fun () -> fresh ())) in
+  checks "same certificate across domains" (Tpm.aik_certificate tpm) (Tpm.aik_certificate second);
+  List.iter
+    (fun t ->
+      checkb "verifies under the privacy CA" true
+        (Tpm.verify_aik_certificate ~ca ~aik:(Tpm.aik_public t) (Tpm.aik_certificate t)))
+    [ tpm; second ]
 
 (* --- GetRandom --- *)
 
