@@ -15,11 +15,17 @@ let parse_command s =
       | Some args -> Some (verb, args)
       | None -> None)
 
+(* d is padded to the modulus length: a sealed key's length feeds the
+   TPM's seal and unseal timing, so it must not depend on whether d
+   happens to have a leading zero byte. *)
 let rsa_private_to_string (key : Rsa.private_key) =
   let enc = Wire.encoder () in
-  List.iter
-    (fun v -> Wire.add_string enc (Bignum.to_bytes_be v))
-    [ key.Rsa.pub.Rsa.n; key.Rsa.pub.Rsa.e; key.Rsa.d; key.Rsa.p; key.Rsa.q ];
+  let add ?pad_to v = Wire.add_string enc (Bignum.to_bytes_be ?pad_to v) in
+  add key.Rsa.pub.Rsa.n;
+  add key.Rsa.pub.Rsa.e;
+  add ~pad_to:(Rsa.key_bytes key.Rsa.pub) key.Rsa.d;
+  add key.Rsa.p;
+  add key.Rsa.q;
   Wire.contents enc
 
 let rsa_private_of_string s =

@@ -37,7 +37,14 @@ let test_codec_rsa_roundtrip () =
   checkb "garbage public rejected" true (Codec.rsa_public_of_string "xx" = None);
   let wrong_q = { key with Sea_crypto.Rsa.q = Sea_crypto.Bignum.add key.Sea_crypto.Rsa.q Sea_crypto.Bignum.two } in
   checkb "p*q <> n rejected" true
-    (Codec.rsa_private_of_string (Codec.rsa_private_to_string wrong_q) = None)
+    (Codec.rsa_private_of_string (Codec.rsa_private_to_string wrong_q) = None);
+  let short_d = { key with Sea_crypto.Rsa.d = Sea_crypto.Bignum.one } in
+  checki "short d encodes to the same length"
+    (String.length (Codec.rsa_private_to_string key))
+    (String.length (Codec.rsa_private_to_string short_d));
+  match Codec.rsa_private_of_string (Codec.rsa_private_to_string short_d) with
+  | Some k -> checkb "padded d decodes" true (Sea_crypto.Bignum.equal k.Sea_crypto.Rsa.d Sea_crypto.Bignum.one)
+  | None -> Alcotest.fail "padded d rejected"
 
 (* --- Certificate authority --- *)
 
