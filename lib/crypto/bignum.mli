@@ -66,7 +66,7 @@ val mod_mul : t -> t -> m:t -> t
 val mod_pow : base:t -> exp:t -> m:t -> t
 (** Modular exponentiation. When [m] is odd it runs fixed 4-bit windows
     over the exponent with Montgomery products on k-limb arrays (k limbs
-    in [m]) and one scratch buffer per call; R² mod m, R = 2{^31k}, comes
+    in [m]) and one scratch buffer per call; R² mod m, R = 2^(31k), comes
     from one division. Otherwise it is square-and-multiply with
     division. Raises [Division_by_zero] if [m] is zero. *)
 
