@@ -10,7 +10,7 @@ type ctx = {
   mutable h2 : int;
   mutable h3 : int;
   mutable h4 : int;
-  buf : Bytes.t; (* 64-byte block buffer *)
+  buf : Bytes.t; (* 64-byte buffer for a block split across updates *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
   w : int array; (* message schedule scratch *)
@@ -29,15 +29,13 @@ let init () =
     w = Array.make 80 0;
   }
 
-let process_block ctx block off =
+(* [process_block ctx s off] compresses the 64-byte block of [s] at
+   [off], reading its big-endian words in place. The four round groups
+   are separate loops so no round selects its function or constant. *)
+let process_block ctx s off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    w.(i) <- Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask32
   done;
   for i = 16 to 79 do
     w.(i) <- rotl32 (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
@@ -47,14 +45,34 @@ let process_block ctx block off =
   and c = ref ctx.h2
   and d = ref ctx.h3
   and e = ref ctx.h4 in
-  for i = 0 to 79 do
-    let f, k =
-      if i < 20 then ((!b land !c) lor (lnot !b land !d) land mask32, 0x5A827999)
-      else if i < 40 then (!b lxor !c lxor !d, 0x6ED9EBA1)
-      else if i < 60 then ((!b land !c) lor (!b land !d) lor (!c land !d), 0x8F1BBCDC)
-      else (!b lxor !c lxor !d, 0xCA62C1D6)
-    in
-    let tmp = (rotl32 !a 5 + (f land mask32) + !e + k + w.(i)) land mask32 in
+  for i = 0 to 19 do
+    let f = (!b land !c) lor (lnot !b land !d) in
+    let tmp = (rotl32 !a 5 + f + !e + 0x5A827999 + w.(i)) land mask32 in
+    e := !d;
+    d := !c;
+    c := rotl32 !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for i = 20 to 39 do
+    let tmp = (rotl32 !a 5 + (!b lxor !c lxor !d) + !e + 0x6ED9EBA1 + w.(i)) land mask32 in
+    e := !d;
+    d := !c;
+    c := rotl32 !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for i = 40 to 59 do
+    let f = (!b land !c) lor (!b land !d) lor (!c land !d) in
+    let tmp = (rotl32 !a 5 + f + !e + 0x8F1BBCDC + w.(i)) land mask32 in
+    e := !d;
+    d := !c;
+    c := rotl32 !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for i = 60 to 79 do
+    let tmp = (rotl32 !a 5 + (!b lxor !c lxor !d) + !e + 0xCA62C1D6 + w.(i)) land mask32 in
     e := !d;
     d := !c;
     c := rotl32 !b 30;
@@ -78,13 +96,12 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
+      process_block ctx (Bytes.unsafe_to_string ctx.buf) 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx ctx.buf 0;
+    process_block ctx s !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin

@@ -38,15 +38,12 @@ let init () =
     w = Array.make 64 0;
   }
 
-let process_block ctx block off =
+(* [process_block ctx s off] compresses the 64-byte block of [s] at
+   [off], reading its big-endian words in place. *)
+let process_block ctx s off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    w.(i) <- Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask32
   done;
   for i = 16 to 63 do
     let s0 = rotr32 w.(i - 15) 7 lxor rotr32 w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
@@ -97,13 +94,12 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
+      process_block ctx (Bytes.unsafe_to_string ctx.buf) 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx ctx.buf 0;
+    process_block ctx s !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
