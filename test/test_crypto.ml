@@ -39,16 +39,41 @@ let test_sha1_streaming_equivalence () =
         (Sha1.digest msg) (Sha1.finalize ctx))
     [ 1; 3; 63; 64; 65; 127; 1000 ]
 
+(* Known answers from Python's hashlib at lengths that straddle the
+   padding boundary (55/56 bytes leave no room for the length) and the
+   block boundary (63/64/65, 119/120). *)
+let kat_message n = String.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let kat_digests =
+  [
+    (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    (1, "5d1be7e9dda1ee8896be5b7e34a85ee16452a7b4",
+     "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879");
+    (55, "749bbefb28edc4638b28b2b9a9e03ab9a4032b90",
+     "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b");
+    (56, "a5b6e9c29d201c774753ff8e7fb64931656f5e63",
+     "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63");
+    (57, "eb0737bed5451790722b2df351829ce117e3d9dd",
+     "5b46e502092be01b1100193e089fdda95638c12e19a1d24f308eb2c3d3ae849d");
+    (63, "d1a454409359fc372b4d22b3cea6488d6ba1be00",
+     "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076");
+    (64, "39a0d8b645ad85f1f976731ed112ac9455e28b78",
+     "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd");
+    (65, "d0c96e18890114a14716e9686528d2e3fdba8d9e",
+     "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0");
+    (119, "562ecf8a430f8e1056e3619bae33628e9a1d0a4e",
+     "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe");
+    (120, "353f6d2bf0e91aa91b74a2e0b3f297510f7d825f",
+     "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656");
+    (1000, "414475341017ec91703435a6f290324818f983e9",
+     "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179");
+  ]
+
 let test_sha1_length_padding_edges () =
-  (* 55/56/64 bytes straddle the padding boundary. *)
   List.iter
-    (fun n ->
-      let m = String.make n 'x' in
-      checkb
-        (Printf.sprintf "len %d consistent" n)
-        true
-        (Sha1.digest m = Sha1.digest m && String.length (Sha1.digest m) = 20))
-    [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120 ]
+    (fun (n, sha1, _) -> checks (Printf.sprintf "len %d" n) sha1 (Sha1.hex (kat_message n)))
+    kat_digests
 
 (* --- SHA-256: FIPS 180-4 vectors --- *)
 
@@ -59,7 +84,189 @@ let test_sha256_vectors () =
     (Sha256.hex "abc");
   checks "two-block"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+    (Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  checks "million a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.hex (String.make 1_000_000 'a'))
+
+let test_sha256_length_padding_edges () =
+  List.iter
+    (fun (n, _, sha256) ->
+      checks (Printf.sprintf "len %d" n) sha256 (Sha256.hex (kat_message n)))
+    kat_digests
+
+(* --- Reference hash kernels ---
+
+   The block functions the library used before its kernels read words in
+   place: each block is copied into a buffer and read a byte at a time,
+   and every SHA-1 round selects its function and constant. The library's
+   kernels must give the same digests. *)
+
+let mask32 = 0xFFFFFFFF
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+let rotr32 x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+let load_words w block =
+  for i = 0 to 15 do
+    let j = 4 * i in
+    w.(i) <-
+      (Char.code (Bytes.get block j) lsl 24)
+      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
+      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
+      lor Char.code (Bytes.get block (j + 3))
+  done
+
+let ref_sha1_block h block =
+  let w = Array.make 80 0 in
+  load_words w block;
+  for i = 16 to 79 do
+    w.(i) <- rotl32 (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) and e = ref h.(4) in
+  for i = 0 to 79 do
+    let f, k =
+      if i < 20 then ((!b land !c) lor (lnot !b land !d) land mask32, 0x5A827999)
+      else if i < 40 then (!b lxor !c lxor !d, 0x6ED9EBA1)
+      else if i < 60 then ((!b land !c) lor (!b land !d) lor (!c land !d), 0x8F1BBCDC)
+      else (!b lxor !c lxor !d, 0xCA62C1D6)
+    in
+    let tmp = (rotl32 !a 5 + (f land mask32) + !e + k + w.(i)) land mask32 in
+    e := !d;
+    d := !c;
+    c := rotl32 !b 30;
+    b := !a;
+    a := tmp
+  done;
+  List.iteri (fun i v -> h.(i) <- (h.(i) + v) land mask32) [ !a; !b; !c; !d; !e ]
+
+let sha256_k =
+  [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+  |]
+
+let ref_sha256_block h block =
+  let w = Array.make 64 0 in
+  load_words w block;
+  for i = 16 to 63 do
+    let s0 = rotr32 w.(i - 15) 7 lxor rotr32 w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
+    let s1 = rotr32 w.(i - 2) 17 lxor rotr32 w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
+  done;
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4)
+  and f = ref h.(5)
+  and g = ref h.(6)
+  and hh = ref h.(7) in
+  for i = 0 to 63 do
+    let s1 = rotr32 !e 6 lxor rotr32 !e 11 lxor rotr32 !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) land mask32 in
+    let t1 = (!hh + s1 + ch + sha256_k.(i) + w.(i)) land mask32 in
+    let s0 = rotr32 !a 2 lxor rotr32 !a 13 lxor rotr32 !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    let t2 = (s0 + maj) land mask32 in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + t1) land mask32;
+    d := !c;
+    c := !b;
+    b := !a;
+    a := (t1 + t2) land mask32
+  done;
+  List.iteri (fun i v -> h.(i) <- (h.(i) + v) land mask32) [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+(* Pad the whole message (0x80, zeros, 64-bit big-endian bit length) and
+   run [block] over each 64-byte block, copied out as the old kernels
+   did. *)
+let ref_digest ~iv ~block msg =
+  let len = String.length msg in
+  let padded = ((len + 9 + 63) / 64) * 64 in
+  let m = Bytes.make padded '\000' in
+  Bytes.blit_string msg 0 m 0 len;
+  Bytes.set m len '\x80';
+  for i = 0 to 7 do
+    Bytes.set m (padded - 1 - i) (Char.chr (((len * 8) lsr (8 * i)) land 0xff))
+  done;
+  let h = Array.copy iv and blk = Bytes.create 64 in
+  for b = 0 to (padded / 64) - 1 do
+    Bytes.blit m (64 * b) blk 0 64;
+    block h blk
+  done;
+  String.init (4 * Array.length h) (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+
+let ref_sha1 =
+  ref_digest ~iv:[| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |]
+    ~block:ref_sha1_block
+
+let ref_sha256 =
+  ref_digest
+    ~iv:
+      [|
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+        0x1f83d9ab; 0x5be0cd19;
+      |]
+    ~block:ref_sha256_block
+
+let random_message st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let check_kernels name msg =
+  checks (name ^ " sha1") (ref_sha1 msg) (Sha1.digest msg);
+  checks (name ^ " sha256") (ref_sha256 msg) (Sha256.digest msg)
+
+let test_kernels_short_messages () =
+  let st = Random.State.make [| 18 |] in
+  for n = 0 to 300 do
+    check_kernels (Printf.sprintf "len %d" n) (random_message st n)
+  done
+
+let test_kernels_64k_messages () =
+  let st = Random.State.make [| 64 |] in
+  List.iter
+    (fun n -> check_kernels (Printf.sprintf "len %d" n) (random_message st n))
+    [ 65535; 65536; 65537 ]
+
+(* A message of up to 600 bytes fed to the streaming interface in random
+   pieces, empty ones included. *)
+let arb_split =
+  QCheck.make
+    ~print:(fun (msg, cuts) ->
+      Printf.sprintf "len %d, pieces %s" (String.length msg)
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck.Gen.(
+      pair (string_size ~gen:char (int_bound 600)) (list_size (int_bound 12) (int_bound 130)))
+
+let stream ~init ~update ~finalize msg cuts =
+  let ctx = init () in
+  let rec go off = function
+    | _ when off >= String.length msg -> ()
+    | [] -> update ctx (String.sub msg off (String.length msg - off))
+    | n :: rest ->
+        let n = min n (String.length msg - off) in
+        update ctx (String.sub msg off n);
+        go (off + n) rest
+  in
+  go 0 cuts;
+  finalize ctx
+
+let prop_streaming_matches_reference =
+  QCheck.Test.make ~name:"random streaming splits match the reference kernels" ~count:300
+    arb_split (fun (msg, cuts) ->
+      stream ~init:Sha1.init ~update:Sha1.update ~finalize:Sha1.finalize msg cuts
+      = ref_sha1 msg
+      && stream ~init:Sha256.init ~update:Sha256.update ~finalize:Sha256.finalize msg cuts
+         = ref_sha256 msg)
 
 (* --- HMAC: RFC 2202 / RFC 4231 vectors --- *)
 
@@ -476,6 +683,39 @@ let test_rsa_encrypt_decrypt () =
      decodes, the plaintext must differ. *)
   checkb "tampered ciphertext" true (Rsa.decrypt key tampered <> Some pt)
 
+(* PKCS#1 type-2 padding draws PS in one DRBG call and redraws each zero
+   byte. With a 512-bit key a full-length plaintext leaves a 29-byte PS,
+   which holds a zero in about 11 % of draws, and shorter plaintexts
+   leave longer ones, so these 216 round trips redraw many times. *)
+let test_rsa_type2_padding () =
+  let key = Keyvault.get ~label:"srk:Broadcom" ~bits:512 in
+  let pub = key.Rsa.pub in
+  let k = Rsa.key_bytes pub and max = Rsa.max_plaintext pub in
+  let plaintexts =
+    List.init (4 * (max + 1)) (fun i ->
+        String.init (i mod (max + 1)) (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let encrypt_all seed =
+    let d = Drbg.create ~seed in
+    List.map (fun pt -> Rsa.encrypt pub d pt) plaintexts
+  in
+  let cts = encrypt_all "type-2" in
+  List.iteri
+    (fun i (pt, ct) ->
+      let em =
+        Bignum.to_bytes_be ~pad_to:k
+          (Bignum.mod_pow ~base:(Bignum.of_bytes_be ct) ~exp:key.Rsa.d ~m:pub.Rsa.n)
+      in
+      let ps_len = k - String.length pt - 3 in
+      checkb (Printf.sprintf "#%d: 00 02 <nonzero PS> 00 <plaintext>" i) true
+        (String.sub em 0 2 = "\x00\x02"
+        && String.for_all (fun c -> c <> '\000') (String.sub em 2 ps_len)
+        && em.[2 + ps_len] = '\000'
+        && String.sub em (3 + ps_len) (String.length pt) = pt);
+      checkb (Printf.sprintf "#%d decrypts" i) true (Rsa.decrypt key ct = Some pt))
+    (List.combine plaintexts cts);
+  checkb "same seed, same ciphertexts" true (cts = encrypt_all "type-2")
+
 let test_rsa_encrypt_limits () =
   let d = drbg () in
   let key = Rsa.generate ~bits:512 d in
@@ -645,7 +885,18 @@ let () =
           Alcotest.test_case "streaming equivalence" `Quick test_sha1_streaming_equivalence;
           Alcotest.test_case "padding edge lengths" `Quick test_sha1_length_padding_edges;
         ] );
-      ("sha256", [ Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors ]);
+      ( "sha256",
+        [
+          Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "padding edge lengths" `Quick test_sha256_length_padding_edges;
+        ] );
+      ( "hash kernels",
+        [
+          Alcotest.test_case "match the reference, 0-300 bytes" `Quick
+            test_kernels_short_messages;
+          Alcotest.test_case "match the reference, 64 KB" `Quick test_kernels_64k_messages;
+          QCheck_alcotest.to_alcotest prop_streaming_matches_reference;
+        ] );
       ( "hmac",
         [
           Alcotest.test_case "HMAC-SHA1 RFC2202" `Quick test_hmac_sha1_vectors;
@@ -685,6 +936,7 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "encrypt/decrypt" `Quick test_rsa_encrypt_decrypt;
           Alcotest.test_case "payload limits" `Quick test_rsa_encrypt_limits;
+          Alcotest.test_case "type-2 padding round trips" `Quick test_rsa_type2_padding;
           Alcotest.test_case "deterministic from seed" `Quick test_rsa_deterministic_from_seed;
           Alcotest.test_case "modulus size" `Quick test_rsa_modulus_size;
           Alcotest.test_case "Miller-Rabin" `Quick test_miller_rabin;
