@@ -158,15 +158,14 @@ let encrypt pub drbg plaintext =
   let k = key_bytes pub in
   let m_len = String.length plaintext in
   if m_len > k - 11 then invalid_arg "Rsa.encrypt: plaintext too long";
-  (* Type-2 padding: 00 02 <nonzero random> 00 <plaintext>. *)
+  (* Type-2 padding: 00 02 <nonzero random> 00 <plaintext>. PS is one
+     DRBG draw; each zero byte in it is redrawn a byte at a time. *)
   let ps_len = k - m_len - 3 in
-  let ps = Bytes.create ps_len in
+  let ps = Drbg.generate drbg ps_len in
   for i = 0 to ps_len - 1 do
-    let rec nonzero () =
-      let b = Bytes.get (Drbg.generate drbg 1) 0 in
-      if b = '\000' then nonzero () else b
-    in
-    Bytes.set ps i (nonzero ())
+    while Bytes.get ps i = '\000' do
+      Bytes.set ps i (Bytes.get (Drbg.generate drbg 1) 0)
+    done
   done;
   let em = "\x00\x02" ^ Bytes.to_string ps ^ "\x00" ^ plaintext in
   let m = Bignum.of_bytes_be em in

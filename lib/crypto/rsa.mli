@@ -44,7 +44,10 @@ val verify : public -> msg:string -> signature:string -> bool
 
 val encrypt : public -> Drbg.t -> string -> string
 (** PKCS#1 v1.5 type-2 encryption. The plaintext must be at most
-    [key_bytes pub - 11] bytes; raises [Invalid_argument] otherwise. *)
+    [key_bytes pub - 11] bytes; raises [Invalid_argument] otherwise.
+    The nonzero padding string PS is drawn from [drbg] in one call, and
+    each zero byte in it is then redrawn one byte per call, so the same
+    DRBG state gives the same ciphertext. *)
 
 val decrypt : private_key -> string -> string option
 (** [None] if the padding is invalid (wrong key or corrupted blob). *)
