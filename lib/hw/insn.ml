@@ -71,16 +71,15 @@ let skinit (m : Machine.t) ~cpu ~pages ~length =
               Sea_bus.Lpc.transfer lpc ~device_wait:Time.zero ~bytes:length;
               Ok (Sha1.digest code)
           | Some tpm -> (
+              (* The TPM hashes the SLB as it arrives; its digest is the
+                 measurement, so the fetched bytes are hashed once. *)
               let caller = Sea_tpm.Tpm.Cpu cpu in
               match Sea_tpm.Tpm.hash_start tpm ~caller with
               | Error e -> Error e
               | Ok () -> (
                   match Sea_tpm.Tpm.hash_data tpm code with
                   | Error e -> Error e
-                  | Ok () -> (
-                      match Sea_tpm.Tpm.hash_end tpm with
-                      | Error e -> Error e
-                      | Ok _pcr17 -> Ok (Sha1.digest code)))))
+                  | Ok () -> Sea_tpm.Tpm.hash_end tpm)))
     end
   end
 
@@ -120,7 +119,7 @@ let senter (m : Machine.t) ~cpu ~pages ~length =
             | Ok () -> (
                 match Sea_tpm.Tpm.hash_end tpm with
                 | Error e -> Error e
-                | Ok _pcr17 -> (
+                | Ok _acmod_digest -> (
                     Sea_trace.Trace.with_span m.engine ~cat:"cpu" "sig-verify"
                       (fun () ->
                         Engine.advance m.engine Costs.senter_sig_verify);
@@ -198,11 +197,11 @@ let slaunch (m : Machine.t) ~cpu (secb : Secb.t) =
                 | Ok code -> (
                     match Sea_tpm.Tpm.sepcr_measure tpm ~caller handle ~code with
                     | Error e -> back_out e
-                    | Ok _value ->
+                    | Ok digest ->
                         secb.Secb.sepcr <- Some handle;
                         secb.Secb.measured <- true;
                         core.Cpu.status <- Cpu.In_pal secb.Secb.id;
-                        Ok (Launched (Sha1.digest code)))))
+                        Ok (Launched digest))))
       end
       else begin
         insn_span m "SLAUNCH-resume" @@ fun () ->

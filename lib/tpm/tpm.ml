@@ -243,7 +243,8 @@ let hash_end t =
               charge t t.profile.Timing.hash_end;
               t.hash_session <- None;
               let digest = Sha1.finalize ctx in
-              Ok (Pcr.extend t.pcrs 17 digest))
+              ignore (Pcr.extend t.pcrs 17 digest : string);
+              Ok digest)
 
 (* --- Randomness --- *)
 
@@ -589,7 +590,8 @@ let sepcr_measure t ~caller h ~code =
             ~device_wait:t.profile.Timing.hash_data_wait
             ~bytes:(String.length code);
           charge t t.profile.Timing.hash_end;
-          Sepcr.extend bank h ~owner:cpu (Sha1.digest code))
+          let digest = Sha1.digest code in
+          Result.map (fun (_ : string) -> digest) (Sepcr.extend bank h ~owner:cpu digest))
 
 let sepcr_read t ~caller h =
   traced t "sepcr-read" @@ fun () ->

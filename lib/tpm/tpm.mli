@@ -111,7 +111,9 @@ val pcr_extend_deferred : t -> int -> string -> string * Sea_sim.Time.t
 val hash_start : t -> caller:caller -> (unit, string) result
 val hash_data : t -> string -> (unit, string) result
 val hash_end : t -> (string, string) result
-(** Returns the new PCR 17 value. *)
+(** Extends PCR 17 with the SHA-1 of the bytes streamed since
+    {!hash_start} and returns that digest, the launch's measurement;
+    {!pcr_read} gives the new register value. *)
 
 (** {1 Sealed storage} *)
 
@@ -255,7 +257,8 @@ val sepcr_measure :
 (** The SLAUNCH measurement path (§5.4.1): the CPU streams the PAL's bytes
     to the TPM over the LPC bus (same per-transaction long-wait stall as
     TPM_HASH_DATA) and the TPM extends the PAL's sePCR with the SHA-1 of
-    the code. Returns the new sePCR value. *)
+    the code. Returns that digest, the PAL's measurement; {!sepcr_read}
+    gives the new register value. *)
 
 val sepcr_read : t -> caller:caller -> Sepcr.handle -> (string, string) result
 val sepcr_rebind :

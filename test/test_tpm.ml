@@ -100,8 +100,10 @@ let test_hash_sequence_locality () =
   checkb "hardware can" true (Tpm.hash_start tpm ~caller:(Tpm.Cpu 0) = Ok ());
   checkb "data accepted in session" true (Tpm.hash_data tpm "abc" = Ok ());
   (match Tpm.hash_end tpm with
-  | Ok v -> checks "PCR17 = extend(0, H(abc))" (Sha1.digest (zero20 ^ Sha1.digest "abc")) v
+  | Ok d -> checks "hash_end returns H(abc)" (Sha1.digest "abc") d
   | Error e -> Alcotest.fail e);
+  checks "PCR17 = extend(0, H(abc))" (Sha1.digest (zero20 ^ Sha1.digest "abc"))
+    (Tpm.pcr_read tpm 17);
   checkb "data outside session rejected" true
     (Tpm.hash_data tpm "x" = Error "no open hash session");
   checkb "end outside session rejected" true
@@ -121,11 +123,14 @@ let test_hash_chunked_equals_whole () =
   let code = String.init 300 (fun i -> Char.chr (i mod 251)) in
   ignore (Tpm.hash_start tpm1 ~caller:(Tpm.Cpu 0));
   ignore (Tpm.hash_data tpm1 code);
-  let v1 = Result.get_ok (Tpm.hash_end tpm1) in
+  let d1 = Result.get_ok (Tpm.hash_end tpm1) in
   ignore (Tpm.hash_start tpm2 ~caller:(Tpm.Cpu 0));
   String.iter (fun c -> ignore (Tpm.hash_data tpm2 (String.make 1 c))) code;
-  let v2 = Result.get_ok (Tpm.hash_end tpm2) in
-  checks "chunking irrelevant to measurement" v1 v2
+  let d2 = Result.get_ok (Tpm.hash_end tpm2) in
+  checks "whole stream returns H(code)" (Sha1.digest code) d1;
+  checks "byte-at-a-time stream returns H(code)" (Sha1.digest code) d2;
+  checks "chunking irrelevant to measurement" (Tpm.pcr_read tpm1 17)
+    (Tpm.pcr_read tpm2 17)
 
 (* --- Sealed storage --- *)
 
@@ -336,8 +341,10 @@ let test_sepcr_measure_chain () =
   let caller = Tpm.Cpu 0 in
   let h = Result.get_ok (Tpm.sepcr_allocate tpm ~caller) in
   let code = "some PAL code" in
-  let v = Result.get_ok (Tpm.sepcr_measure tpm ~caller h ~code) in
-  checks "measure = extend(0, H(code))" (Sha1.digest (zero20 ^ Sha1.digest code)) v
+  let d = Result.get_ok (Tpm.sepcr_measure tpm ~caller h ~code) in
+  checks "measure returns H(code)" (Sha1.digest code) d;
+  checks "measure = extend(0, H(code))" (Sha1.digest (zero20 ^ Sha1.digest code))
+    (Result.get_ok (Tpm.sepcr_read tpm ~caller h))
 
 let test_sepcr_quote_state_machine () =
   let _, tpm = fresh ~sepcr_count:1 () in
