@@ -11,9 +11,13 @@ type services = {
 type t = {
   name : string;
   code : string;
+  measurement : string;
   compute_time : Sea_sim.Time.t;
   behavior : services -> string -> (string, string) result;
 }
+
+let make ~name ~code ~compute_time behavior =
+  { name; code; measurement = Sha1.digest code; compute_time; behavior }
 
 let synth_code ~name ~version ~size =
   (* Deterministic pseudo-code: a header naming the PAL, then DRBG filler.
@@ -28,14 +32,14 @@ let create ~name ?(code_size = 4096) ?(version = 1) ?(compute_time = Sea_sim.Tim
     behavior =
   if code_size <= 0 || code_size > 64 * 1024 then
     invalid_arg "Pal.create: code size must be in (0, 64 KB]";
-  { name; code = synth_code ~name ~version ~size:code_size; compute_time; behavior }
+  make ~name ~code:(synth_code ~name ~version ~size:code_size) ~compute_time behavior
 
 let of_code ~name ~code ?(compute_time = Sea_sim.Time.zero) behavior =
   if String.length code = 0 || String.length code > 64 * 1024 then
     invalid_arg "Pal.of_code: code size must be in (0, 64 KB]";
-  { name; code; compute_time; behavior }
+  make ~name ~code ~compute_time behavior
 
-let measurement t = Sha1.digest t.code
+let measurement t = t.measurement
 
 (* Content-addressed analysis cache, keyed on the measurement digest
    (plus policy): the analyzer is a pure function of the measured

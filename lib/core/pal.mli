@@ -31,14 +31,18 @@ type services = {
   machine_name : string;
 }
 
-type t = {
+type t = private {
   name : string;
   code : string;  (** The measured bytes. *)
+  measurement : string;
+      (** SHA-1 of [code], computed once when the PAL is built. *)
   compute_time : Sea_sim.Time.t;
       (** Application-specific work, {e excluded} from the paper's overhead
           figures but needed for scheduling experiments. *)
   behavior : services -> string -> (string, string) result;
 }
+(** Private, so [measurement] always matches [code]: build PALs with
+    {!create} or {!of_code}. *)
 
 val create :
   name:string ->
@@ -91,7 +95,8 @@ val analysis_runs : unit -> int
     lets tests assert each distinct image is analyzed exactly once. *)
 
 val measurement : t -> string
-(** SHA-1 of the code — what lands in PCR 17 / the sePCR. *)
+(** SHA-1 of the code — what lands in PCR 17 / the sePCR. Reads the
+    digest {!create} or {!of_code} computed; it does not hash. *)
 
 val pages_needed : t -> int
 (** Data pages required to hold the code (excluding the SECB page). *)

@@ -70,7 +70,9 @@ let bytecode k =
           ]
 
 let with_bytecode k p =
-  { p with Pal.code = pad_to (String.length p.Pal.code) (bytecode k) }
+  Pal.of_code ~name:p.Pal.name
+    ~code:(pad_to (String.length p.Pal.code) (bytecode k))
+    ~compute_time:p.Pal.compute_time p.Pal.behavior
 
 (* One shared Pal.t per kind: every invocation of a kind must carry the
    same measurement, or sealed state created by one request would refuse
@@ -123,10 +125,15 @@ let updates_state = function Kv_update -> true | Ssh_auth | Ca_sign -> false
    but open-ended work, letting the serving layer feed it one request's
    worth of compute per SLAUNCH/SYIELD cycle and keep it suspended in
    access-controlled memory between requests. *)
-let resident_pal k =
+let resident_of k =
   let p = pal k in
   Pal.of_code ~name:(p.Pal.name ^ "-resident") ~code:p.Pal.code
     ~compute_time:(Time.s 1_000_000.) (fun _ _ -> Ok "resident")
+
+(* One shared resident per kind, indexed by [kind_index], so a cold
+   launch or a migration reuses its kind's measurement. *)
+let residents = Array.of_list (List.map (fun k -> lazy (resident_of k)) kinds)
+let resident_pal k = Lazy.force residents.(kind_index k)
 
 (* Static admission cost of one request of this kind, from the image's
    cost certificate (through the content-addressed cache, so the first

@@ -563,6 +563,68 @@ let test_starved_deadline_run_renders () =
   checkb "rows consistent" true (row_consistent r);
   checkb "renders" true (String.length (Report.render r) > 0)
 
+(* --- launch digests ---
+
+   A launch reports the digest the TPM computed while the image crossed
+   the bus; a PAL carries the digest computed when it was built. The two
+   must agree for every serving kind on both launch paths, or sealed
+   state would not round-trip. *)
+
+module Pal = Sea_core.Pal
+
+let checks = Alcotest.(check string)
+
+let test_session_measurement_is_the_pals () =
+  let m = machine false in
+  List.iter
+    (fun k ->
+      let pal = Workload.pal k and name = Workload.kind_name k in
+      checks (name ^ ": built digest is SHA-1 of the code")
+        (Sea_crypto.Sha1.digest pal.Pal.code) (Pal.measurement pal);
+      match
+        Sea_core.Session.execute m ~cpu:0 pal
+          ~input:(Workload.init_input k ~tenant:"t")
+      with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok o ->
+          checks (name ^ ": SKINIT measurement") (Pal.measurement pal)
+            o.Sea_core.Session.measurement)
+    Workload.kinds
+
+let test_slaunch_digest_is_the_pals () =
+  let open Sea_hw in
+  let m = machine ~sepcr_count:8 true in
+  let tpm = Machine.tpm_exn m in
+  List.iter
+    (fun k ->
+      let pal = Workload.resident_pal k and name = Workload.kind_name k in
+      let pages = Machine.alloc_pages m (1 + Pal.pages_needed pal) in
+      let secb =
+        Secb.create ~id:(Machine.fresh_secb_id m) ~pages ~entry_point:0
+          ~pal_length:(Pal.code_size pal) ()
+      in
+      Memory.write_span (Memctrl.memory m.Machine.memctrl)
+        ~pages:(Secb.data_pages secb) ~off:0 pal.Pal.code;
+      (match Insn.slaunch m ~cpu:0 secb with
+      | Ok (Insn.Launched d) -> checks (name ^ ": Launched d") (Pal.measurement pal) d
+      | Ok Insn.Resumed -> Alcotest.fail (name ^ ": resumed a fresh SECB")
+      | Error e -> Alcotest.fail (name ^ ": " ^ e));
+      let h = Option.get secb.Secb.sepcr in
+      checks (name ^ ": sePCR = extend(0, d)")
+        (Sea_core.Slaunch_session.expected_sepcr pal)
+        (Result.get_ok (Sea_tpm.Tpm.sepcr_read tpm ~caller:(Sea_tpm.Tpm.Cpu 0) h));
+      checkb (name ^ ": SFREE") true (Insn.sfree m ~cpu:0 secb = Ok ()))
+    Workload.kinds
+
+let test_resident_pal_shared () =
+  List.iter
+    (fun k ->
+      let r = Workload.resident_pal k and name = Workload.kind_name k in
+      checkb (name ^ ": one resident per kind") true (r == Workload.resident_pal k);
+      checks (name ^ ": resident measurement")
+        (Pal.measurement (Workload.pal k)) (Pal.measurement r))
+    Workload.kinds
+
 let () =
   Alcotest.run "serve"
     [
@@ -645,5 +707,14 @@ let () =
             test_zero_completion_report_renders;
           Alcotest.test_case "starved-deadline run renders" `Quick
             test_starved_deadline_run_renders;
+        ] );
+      ( "launch-digest",
+        [
+          Alcotest.test_case "session measurement is the PAL's" `Quick
+            test_session_measurement_is_the_pals;
+          Alcotest.test_case "SLAUNCH digest is the PAL's" `Quick
+            test_slaunch_digest_is_the_pals;
+          Alcotest.test_case "one resident per kind" `Quick
+            test_resident_pal_shared;
         ] );
     ]
