@@ -52,15 +52,21 @@ let span_iter pages off len f =
     span_off := !span_off + chunk
   done
 
+(* Spans blit straight between the pages and the span's own bytes, so a
+   launch copies its image once into memory and once back out. *)
 let read_span t ~pages ~off ~len =
   let buf = Bytes.create len in
   span_iter pages off len (fun page page_off chunk span_off ->
-      Bytes.blit_string (read t ~page ~off:page_off ~len:chunk) 0 buf span_off chunk);
-  Bytes.to_string buf
+      check t ~page ~off:page_off ~len:chunk;
+      match t.pages.(page) with
+      | Some b -> Bytes.blit b page_off buf span_off chunk
+      | None -> Bytes.fill buf span_off chunk '\000');
+  Bytes.unsafe_to_string buf
 
 let write_span t ~pages ~off data =
   span_iter pages off (String.length data) (fun page page_off chunk span_off ->
-      write t ~page ~off:page_off (String.sub data span_off chunk))
+      check t ~page ~off:page_off ~len:chunk;
+      Bytes.blit_string data span_off (materialise t page) page_off chunk)
 
 let zero_page t page =
   check t ~page ~off:0 ~len:page_size;
