@@ -41,7 +41,11 @@ let test_memory_span () =
   checks "span roundtrip" data (Memory.read_span m ~pages:[ 2; 0 ] ~off:100 ~len:6000);
   (* The span is laid over the page list in order: page 2 first. *)
   checks "first page holds the head" (String.sub data 0 10)
-    (Memory.read m ~page:2 ~off:100 ~len:10)
+    (Memory.read m ~page:2 ~off:100 ~len:10);
+  (* Page 0 holds the tail of [data]; page 3 was never written. *)
+  checks "untouched bytes and pages read as zeroes"
+    (String.sub data 3996 2004 ^ String.make 2996 '\000')
+    (Memory.read_span m ~pages:[ 0; 3 ] ~off:0 ~len:5000)
 
 let test_memory_zero_page () =
   let m = Memory.create ~pages:1 in
