@@ -7,6 +7,7 @@ open Sea_serve
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 let machine ?(seed = 11L) ?(cores = 2) ?sepcr_count proposed =
   let config = Sea_hw.Machine.low_fidelity Sea_hw.Machine.hp_dc5750 in
@@ -571,8 +572,6 @@ let test_starved_deadline_run_renders () =
    state would not round-trip. *)
 
 module Pal = Sea_core.Pal
-
-let checks = Alcotest.(check string)
 
 let test_session_measurement_is_the_pals () =
   let m = machine false in
