@@ -130,10 +130,10 @@ let resident_of k =
   Pal.of_code ~name:(p.Pal.name ^ "-resident") ~code:p.Pal.code
     ~compute_time:(Time.s 1_000_000.) (fun _ _ -> Ok "resident")
 
-(* One shared resident per kind, indexed by [kind_index], so a cold
-   launch or a migration reuses its kind's measurement. *)
-let residents = Array.of_list (List.map (fun k -> lazy (resident_of k)) kinds)
-let resident_pal k = Lazy.force residents.(kind_index k)
+(* One shared resident per kind, so a cold launch or a migration reuses
+   its kind's measurement. *)
+let residents = List.map (fun k -> (k, lazy (resident_of k))) kinds
+let resident_pal k = Lazy.force (List.assoc k residents)
 
 (* Static admission cost of one request of this kind, from the image's
    cost certificate (through the content-addressed cache, so the first
