@@ -2,7 +2,13 @@
 
     Collects individual observations (e.g. one simulated latency per trial)
     and reports summary statistics. Used by the benchmark harness to report
-    the same mean/stdev columns as the paper's tables. *)
+    the same mean/stdev columns as the paper's tables.
+
+    Samples are kept unboxed in a [Float.Array.t] in insertion order, one
+    word each; the buffer doubles when full, so an accumulator filled by
+    {!add} holds at most two words per sample and one built by {!merge}
+    exactly one. The running sum, sum of squares, minimum and maximum are
+    updated as each sample arrives, and updating them allocates nothing. *)
 
 type t
 
@@ -30,8 +36,10 @@ val max : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0,100\]], by nearest-rank on the sorted
-    samples. The sorted view is cached and invalidated by {!add}, so
-    querying several percentiles between additions sorts once. Raises
+    samples. The sorted view is a copy of the samples (one more word per
+    sample), sorted in place in [Float.compare] order by a quicksort
+    specialised to unboxed floats. It is cached and invalidated by {!add},
+    so querying several percentiles between additions sorts once. Raises
     [Invalid_argument] if the accumulator is empty. *)
 
 val percentile_opt : t -> float -> float option
@@ -40,12 +48,19 @@ val percentile_opt : t -> float -> float option
     window) rather than treat emptiness as a bug. *)
 
 val samples : t -> float list
-(** All recorded observations, in insertion order. *)
+(** All recorded observations, in insertion order. Builds a fresh list,
+    three words per sample plus a box for each float, so keep it off hot
+    paths. *)
 
 val merge : t list -> t
 (** [merge ts] is a fresh accumulator holding every observation of every
     [ts] element, appended in list order (each element's own insertion
-    order preserved). The inputs are not consumed. Percentiles of the
+    order preserved). It copies the samples into a buffer of exactly their
+    total count and feeds them, in that order, through the same arithmetic
+    as {!add}, so its {!mean}, {!stdev}, {!min} and {!max} are bit-identical
+    to adding the samples one by one. The inputs are not consumed and
+    share no storage with the result: adding to either later leaves the
+    other unchanged. Percentiles of the
     merge are computed over the union of samples, so merging per-machine
     accumulators gives exact cross-machine tail latencies — and, the
     order being fixed by the list, a byte-identical render no matter how

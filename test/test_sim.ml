@@ -166,6 +166,190 @@ let test_stats_samples_order () =
   List.iter (Stats.add s) [ 3.; 1.; 2. ];
   check Alcotest.(list (float 0.)) "insertion order" [ 3.; 1.; 2. ] (Stats.samples s)
 
+(* The boxed-list accumulator Stats used before its samples were unboxed,
+   kept as the reference the buffer and its sort are checked against. *)
+module Ref_stats = struct
+  type t = {
+    mutable values : float list; (* reverse insertion order *)
+    mutable count : int;
+    mutable sum : float;
+    mutable sum_sq : float;
+    mutable min : float;
+    mutable max : float;
+    mutable sorted : float array option; (* cache, invalidated by [add] *)
+  }
+
+  let create () =
+    { values = []; count = 0; sum = 0.; sum_sq = 0.; min = infinity; max = neg_infinity;
+      sorted = None }
+
+  let add t x =
+    t.values <- x :: t.values;
+    t.sorted <- None;
+    t.count <- t.count + 1;
+    t.sum <- t.sum +. x;
+    t.sum_sq <- t.sum_sq +. (x *. x);
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x
+
+  let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+
+  let stdev t =
+    if t.count < 2 then 0.
+    else
+      let n = float_of_int t.count in
+      let var = (t.sum_sq -. (t.sum *. t.sum /. n)) /. (n -. 1.) in
+      sqrt (Float.max var 0.)
+
+  let percentile t p =
+    let arr =
+      match t.sorted with
+      | Some arr -> arr
+      | None ->
+          let arr = Array.of_list t.values in
+          Array.sort Float.compare arr;
+          t.sorted <- Some arr;
+          arr
+    in
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int t.count)) in
+    arr.(Stdlib.max 0 (Stdlib.min (t.count - 1) (rank - 1)))
+
+  let samples t = List.rev t.values
+
+  let merge ts =
+    let m = create () in
+    List.iter (fun t -> List.iter (add m) (samples t)) ts;
+    m
+end
+
+let ref_percentiles = [ 0.; 0.1; 50.; 95.; 99.; 99.9; 100. ]
+let bits = Int64.bits_of_float
+
+(* [None] if [s] matches [r], else the first observable that differs. *)
+let stats_mismatch s r =
+  let n = r.Ref_stats.count in
+  let differs name ok = if ok then None else Some name in
+  let first = List.find_map Fun.id in
+  first
+    [
+      differs "count" (Stats.count s = n);
+      differs "samples" (List.map bits (Stats.samples s) = List.map bits (Ref_stats.samples r));
+      differs "mean" (bits (Stats.mean s) = bits (Ref_stats.mean r));
+      differs "stdev" (bits (Stats.stdev s) = bits (Ref_stats.stdev r));
+      (if n = 0 then differs "empty percentile" (Stats.percentile_opt s 50. = None)
+       else
+         first
+           ([ differs "min" (bits (Stats.min s) = bits r.min);
+              differs "max" (bits (Stats.max s) = bits r.max) ]
+           @ List.map
+               (fun p ->
+                 differs (Printf.sprintf "p%g" p)
+                   (Float.equal (Stats.percentile s p) (Ref_stats.percentile r p)))
+               ref_percentiles));
+    ]
+
+(* Samples with duplicates, negatives, both zeros, both infinities and
+   NaN, in runs of 0, 1, 15-17 or over 1000: the buffer starts at 16 and
+   doubles, and the sort hands slices under 16 to insertion sort. *)
+let gen_samples =
+  QCheck.Gen.(
+    let sample =
+      frequency
+        [ (2, oneofl [ 0.; -0.; infinity; neg_infinity; nan ]);
+          (4, map float_of_int (int_range (-20) 20));
+          (3, float) ]
+    in
+    frequency [ (4, oneofl [ 0; 1; 15; 16; 17 ]); (1, int_range 1001 1300) ] >>= fun n ->
+    list_repeat n sample)
+
+type stats_tree = Leaf of float list | Merge of stats_tree list
+
+let gen_stats_tree =
+  QCheck.Gen.(
+    sized_size (int_bound 2)
+    @@ fix (fun self depth ->
+           if depth = 0 then map (fun xs -> Leaf xs) gen_samples
+           else
+             frequency
+               [ (1, map (fun xs -> Leaf xs) gen_samples);
+                 (2, map (fun ts -> Merge ts) (list_size (int_bound 3) (self (depth - 1)))) ]))
+
+let rec print_stats_tree = function
+  | Leaf xs -> "[" ^ String.concat "; " (List.map (Printf.sprintf "%h") xs) ^ "]"
+  | Merge ts -> "merge (" ^ String.concat ", " (List.map print_stats_tree ts) ^ ")"
+
+let rec build_stats = function
+  | Leaf xs ->
+      let s = Stats.create () and r = Ref_stats.create () in
+      List.iter (fun x -> Stats.add s x; Ref_stats.add r x) xs;
+      (s, r)
+  | Merge ts ->
+      let built = List.map build_stats ts in
+      (Stats.merge (List.map fst built), Ref_stats.merge (List.map snd built))
+
+let prop_stats_match_reference =
+  QCheck.Test.make ~name:"list reference, random merge trees" ~count:300
+    (QCheck.make ~print:print_stats_tree gen_stats_tree)
+    (fun tree ->
+      let s, r = build_stats tree in
+      match stats_mismatch s r with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s differs" what)
+
+let prop_stats_merge_is_a_copy =
+  QCheck.Test.make ~name:"merge copies, shares nothing" ~count:200
+    QCheck.(make ~print:(fun (a, b) -> print_stats_tree (Merge [ Leaf a; Leaf b ]))
+              Gen.(pair gen_samples gen_samples))
+    (fun (xs, ys) ->
+      let (a, ra), (b, rb) = (build_stats (Leaf xs), build_stats (Leaf ys)) in
+      let m = Stats.merge [ a; b ] and rm = Ref_stats.merge [ ra; rb ] in
+      (* Sort every side first, so a stale cached view would show. *)
+      List.iter (fun s -> ignore (Stats.percentile_opt s 50.)) [ a; b; m ];
+      Stats.add m 1e9;
+      Ref_stats.add rm 1e9;
+      Stats.add a (-1e9);
+      Ref_stats.add ra (-1e9);
+      List.for_all (fun (s, r) -> stats_mismatch s r = None) [ (a, ra); (b, rb); (m, rm) ])
+
+let test_stats_sorts_large_inputs () =
+  (* Inputs that make a naive quicksort quadratic; at this size that
+     would take minutes. *)
+  let n = 100_000 in
+  List.iter
+    (fun (name, f) ->
+      let s = Stats.create () and r = Ref_stats.create () in
+      for i = 0 to n - 1 do
+        Stats.add s (f i);
+        Ref_stats.add r (f i)
+      done;
+      for k = 0 to 1000 do
+        let p = float_of_int k /. 10. in
+        check (Alcotest.float 0.)
+          (Printf.sprintf "%s p%g" name p)
+          (Ref_stats.percentile r p) (Stats.percentile s p)
+      done)
+    [ ("sorted", float_of_int);
+      ("reversed", fun i -> float_of_int (n - i));
+      ("all equal", fun _ -> 42.) ]
+
+let test_stats_words_per_sample () =
+  (* Regression: boxed list samples took 6 words each, 5 in the list and
+     1 in the sorted view. *)
+  let per_sample what s =
+    ignore (Stats.percentile s 50.);
+    let w = float_of_int (Obj.reachable_words (Obj.repr s)) /. float_of_int (Stats.count s) in
+    checkb (Printf.sprintf "%s: %.2f words per sample <= 2.5" what w) true (w <= 2.5)
+  in
+  let filled k n =
+    let s = Stats.create () in
+    for i = 1 to n do
+      Stats.add s (float_of_int (i * k mod 1009))
+    done;
+    s
+  in
+  per_sample "100k added" (filled 1 100_000);
+  per_sample "two 50k merged" (Stats.merge [ filled 3 50_000; filled 7 50_000 ])
+
 (* --- Event queue --- *)
 
 let test_queue_ordering () =
@@ -391,6 +575,11 @@ let () =
           Alcotest.test_case "samples order" `Quick test_stats_samples_order;
           Alcotest.test_case "empty min/max raise" `Quick
             test_stats_min_max_empty_raise;
+          QCheck_alcotest.to_alcotest prop_stats_match_reference;
+          QCheck_alcotest.to_alcotest prop_stats_merge_is_a_copy;
+          Alcotest.test_case "sorted, reversed, all-equal 100k" `Quick
+            test_stats_sorts_large_inputs;
+          Alcotest.test_case "words per sample" `Quick test_stats_words_per_sample;
         ] );
       ( "event-queue",
         [
