@@ -24,9 +24,9 @@ let behavior ~key_bits services input =
               Ok (Rsa.sign key csr)))
   | Some _ | None -> Error "unknown CA command"
 
-let pal ?(key_bits = 512) () =
+let pal ?(key_bits = 512) ?code () =
   Pal.create ~name:"cert-authority" ~code_size:(16 * 1024)
-    ~compute_time:(Sea_sim.Time.ms 2.) (behavior ~key_bits)
+    ~compute_time:(Sea_sim.Time.ms 2.) ?code (behavior ~key_bits)
 
 type t = { pal : Pal.t; public : Rsa.public; sealed_key : string }
 

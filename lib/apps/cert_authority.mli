@@ -10,10 +10,11 @@
     (unseal + sign, no reseal — the unsealed key is simply erased)
     pattern. *)
 
-val pal : ?key_bits:int -> unit -> Sea_core.Pal.t
+val pal : ?key_bits:int -> ?code:string -> unit -> Sea_core.Pal.t
 (** The CA PAL. Commands (framed by {!Codec}): [init], and
     [sign blob csr]. [key_bits] defaults to 512 — small enough to keep
-    RSA generation inside the simulated PAL fast in tests. *)
+    RSA generation inside the simulated PAL fast in tests. [code] replaces
+    the synthetic image, as in {!Sea_core.Pal.create}. *)
 
 type t = {
   pal : Sea_core.Pal.t;

@@ -27,9 +27,9 @@ let behavior services input =
           | _ -> Error "sealed record is corrupt"))
   | Some _ | None -> Error "unknown SSH command"
 
-let pal () =
+let pal ?code () =
   Pal.create ~name:"ssh-password" ~code_size:(8 * 1024)
-    ~compute_time:(Sea_sim.Time.ms 1.) behavior
+    ~compute_time:(Sea_sim.Time.ms 1.) ?code behavior
 
 type account = { user : string; sealed_record : string }
 

@@ -7,9 +7,10 @@
     compromised SSH daemon) never sees the password file contents, only
     an accept/reject verdict. *)
 
-val pal : unit -> Sea_core.Pal.t
+val pal : ?code:string -> unit -> Sea_core.Pal.t
 (** Commands: [setup user password] → sealed record;
-    [auth record attempt] → verdict. *)
+    [auth record attempt] → verdict. [code] replaces the synthetic image,
+    as in {!Sea_core.Pal.create}. *)
 
 type account = {
   user : string;

@@ -25,15 +25,15 @@ let shared_behavior ~secret_size ~reseal services input =
         if reseal then services.Pal.seal updated else Ok (Sha1.digest secret)
   end
 
-let make ~code_size ~secret_size ~reseal ~compute_time =
+let make ~code_size ~secret_size ~reseal ~compute_time ~code =
   (* One name + size = one measurement for both entry points. *)
-  Pal.create ~name:"generic-gen-use" ~code_size ?compute_time
+  Pal.create ~name:"generic-gen-use" ~code_size ?compute_time ?code
     (shared_behavior ~secret_size ~reseal)
 
 let pal_gen ?(code_size = 64 * 1024) ?(secret_size = 256) () =
-  make ~code_size ~secret_size ~reseal:false ~compute_time:None
+  make ~code_size ~secret_size ~reseal:false ~compute_time:None ~code:None
 
-let pal_use ?(code_size = 64 * 1024) ?(reseal = true) ?compute_time () =
-  make ~code_size ~secret_size:256 ~reseal ~compute_time
+let pal_use ?(code_size = 64 * 1024) ?(reseal = true) ?compute_time ?code () =
+  make ~code_size ~secret_size:256 ~reseal ~compute_time ~code
 
 let secret_of_use_output secret = Sha1.digest secret

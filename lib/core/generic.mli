@@ -18,12 +18,14 @@ val pal_use :
   ?code_size:int ->
   ?reseal:bool ->
   ?compute_time:Sea_sim.Time.t ->
+  ?code:string ->
   unit ->
   Pal.t
 (** Input: a blob sealed by {!pal_gen} (or a previous resealing PAL Use).
     Output: the new sealed blob when [reseal] (default [true] — the
     distributed-computing pattern), else the SHA-1 of the secret (the
-    signing-CA pattern, where the unsealed key is simply erased). *)
+    signing-CA pattern, where the unsealed key is simply erased). [code]
+    replaces the synthetic image, as in {!Pal.create}. *)
 
 val secret_of_use_output : string -> string
 (** For tests: the digest a non-resealing {!pal_use} returns. *)

@@ -29,10 +29,17 @@ let synth_code ~name ~version ~size =
   header ^ Drbg.generate_string drbg (size - String.length header)
 
 let create ~name ?(code_size = 4096) ?(version = 1) ?(compute_time = Sea_sim.Time.zero)
-    behavior =
+    ?code behavior =
   if code_size <= 0 || code_size > 64 * 1024 then
     invalid_arg "Pal.create: code size must be in (0, 64 KB]";
-  make ~name ~code:(synth_code ~name ~version ~size:code_size) ~compute_time behavior
+  let code =
+    match code with
+    | None -> synth_code ~name ~version ~size:code_size
+    | Some c when String.length c > code_size ->
+        invalid_arg "Pal.create: code longer than code_size"
+    | Some c -> c ^ String.make (code_size - String.length c) '\000'
+  in
+  make ~name ~code ~compute_time behavior
 
 let of_code ~name ~code ?(compute_time = Sea_sim.Time.zero) behavior =
   if String.length code = 0 || String.length code > 64 * 1024 then

@@ -49,12 +49,17 @@ val create :
   ?code_size:int ->
   ?version:int ->
   ?compute_time:Sea_sim.Time.t ->
+  ?code:string ->
   (services -> string -> (string, string) result) ->
   t
 (** [create ~name behavior] builds a PAL whose code is [code_size] bytes
     (default 4 KB; up to 64 KB for SKINIT compatibility) derived
     deterministically from [name] and [version]. Bumping [version] models
-    shipping different code: the measurement changes. *)
+    shipping different code: the measurement changes.
+
+    With [~code], the image is [code] zero-padded to [code_size] bytes
+    instead, and no filler is generated; [version] is then unused. Raises
+    [Invalid_argument] if [code] is longer than [code_size]. *)
 
 val of_code :
   name:string ->

@@ -12,21 +12,17 @@ let kind_name = function
 
 let kind_index = function Ssh_auth -> 0 | Ca_sign -> 1 | Kv_update -> 2
 
-(* Each kind's measured bytes are a real PALVM program, zero-padded to
-   the kind's historical image size (padding decodes as Halt and is
-   unreachable, so the analyzer's view is the program alone). The
-   behavior stays the OCaml closure — serving never interprets these
-   bytes — but the preflight gate and the cost certificates now see
-   decodable, provably-bounded images whose static costs are ordered
-   the way the serving costs are: ssh (echo-class) < ca (one Seal) <
-   kv (Unseal + checksum loop + re-Seal at the full 64 KB). Padding to
-   the historical sizes keeps measurement hashing time, and therefore
-   every serving report, byte-identical to the synthetic images. *)
-
-let pad_to size code =
-  if String.length code > size then
-    invalid_arg "Workload: bytecode exceeds its kind's image size";
-  code ^ String.make (size - String.length code) '\000'
+(* Each kind's measured bytes are a real PALVM program, which its app's
+   [Pal.create ~code] zero-pads to the app's image size (padding decodes
+   as Halt and is unreachable, so the analyzer's view is the program
+   alone). The behavior stays the OCaml closure — serving never
+   interprets these bytes — but the preflight gate and the cost
+   certificates see decodable, provably-bounded images whose static
+   costs are ordered the way the serving costs are: ssh (echo-class) <
+   ca (one Seal) < kv (Unseal + checksum loop + re-Seal at the full
+   64 KB). Padding to the apps' sizes keeps measurement hashing time,
+   and therefore every serving report, byte-identical to the synthetic
+   images. *)
 
 let bytecode k =
   let open Sea_isa in
@@ -69,23 +65,18 @@ let bytecode k =
             (* 168 *) Mov (1, 0); Loadi (0, 16384); Svc Isa.svc_output; Halt;
           ]
 
-let with_bytecode k p =
-  Pal.of_code ~name:p.Pal.name
-    ~code:(pad_to (String.length p.Pal.code) (bytecode k))
-    ~compute_time:p.Pal.compute_time p.Pal.behavior
-
 (* One shared Pal.t per kind: every invocation of a kind must carry the
    same measurement, or sealed state created by one request would refuse
    to unseal in the next. *)
-let ssh_pal = lazy (with_bytecode Ssh_auth (Sea_apps.Ssh_password.pal ()))
-let ca_pal = lazy (with_bytecode Ca_sign (Sea_apps.Cert_authority.pal ()))
+let ssh_pal = lazy (Sea_apps.Ssh_password.pal ~code:(bytecode Ssh_auth) ())
+let ca_pal = lazy (Sea_apps.Cert_authority.pal ~code:(bytecode Ca_sign) ())
 
 let kv_pal =
   (* The paper's resealing PAL Use at the full 64 KB SKINIT allows — the
      distributed-computing pattern, and the heaviest launch in the mix. *)
   lazy
-    (with_bytecode Kv_update
-       (Generic.pal_use ~reseal:true ~compute_time:(Time.ms 5.) ()))
+    (Generic.pal_use ~reseal:true ~compute_time:(Time.ms 5.)
+       ~code:(bytecode Kv_update) ())
 
 let pal = function
   | Ssh_auth -> Lazy.force ssh_pal

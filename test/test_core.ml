@@ -41,7 +41,13 @@ let test_pal_size_limits () =
       ignore (Pal.create ~name:"z" ~code_size:(65 * 1024) (fun _ _ -> Ok "")));
   let p = Pal.create ~name:"p" ~code_size:5000 (fun _ _ -> Ok "") in
   checki "code size" 5000 (Pal.code_size p);
-  checki "pages" 2 (Pal.pages_needed p)
+  checki "pages" 2 (Pal.pages_needed p);
+  let c = Pal.create ~name:"c" ~code_size:16 ~code:"abc" (fun _ _ -> Ok "") in
+  checks "given code zero-padded" ("abc" ^ String.make 13 '\000') c.Pal.code;
+  checks "measured as padded" (Sea_crypto.Sha1.digest c.Pal.code) (Pal.measurement c);
+  Alcotest.check_raises "code longer than code_size"
+    (Invalid_argument "Pal.create: code longer than code_size") (fun () ->
+      ignore (Pal.create ~name:"c" ~code_size:2 ~code:"abc" (fun _ _ -> Ok "")))
 
 (* --- Lifecycle --- *)
 
