@@ -240,45 +240,44 @@ let dataflow_findings (cfg : Cfg.t) ~policy states =
    never disagree. *)
 let bounds_findings (cfg : Cfg.t) ~policy (cost : Cost.t) =
   let wcet = cost.Cost.wcet_steps in
-  let fuel_check tail =
+  (* [info] states that the worst case fits the fuel, so it stands only
+     when it does; otherwise the error takes its place. *)
+  let within_fuel info =
     if wcet > policy.fuel then
-      Finding.make ~rule:"bounds/fuel-exceeded" ~severity:Finding.Error
-        ~offset:0
-        (Printf.sprintf
-           "worst case is %d steps, over the %d-step fuel: the PAL cannot \
-            finish"
-           wcet policy.fuel)
-      :: tail
-    else tail
+      [
+        Finding.make ~rule:"bounds/fuel-exceeded" ~severity:Finding.Error
+          ~offset:0
+          (Printf.sprintf
+             "worst case is %d steps, over the %d-step fuel: the PAL cannot \
+              finish"
+             wcet policy.fuel);
+      ]
+    else [ info ]
   in
   match cfg.Cfg.back_edges with
   | [] ->
-      fuel_check
-        [
-          Finding.make ~rule:"bounds/straight-line" ~severity:Finding.Info
-            ~offset:0
-            (Printf.sprintf "loop-free: worst case %d steps <= fuel %d" wcet
-               policy.fuel);
-        ]
+      within_fuel
+        (Finding.make ~rule:"bounds/straight-line" ~severity:Finding.Info
+           ~offset:0
+           (Printf.sprintf "loop-free: worst case %d steps <= fuel %d" wcet
+              policy.fuel))
   | (src, _) :: _ as edges ->
       if cost.Cost.loops_bounded then
-        fuel_check
-          [
-            Finding.make ~rule:"bounds/loop-bound" ~severity:Finding.Info
-              ~offset:src
-              (Printf.sprintf
-                 "%d loop back-edge%s, every trip count provable (%s): worst \
-                  case %d steps <= fuel %d"
-                 (List.length edges)
-                 (if List.length edges = 1 then "" else "s")
-                 (String.concat ", "
-                    (List.map
-                       (fun (l : Loop_bounds.loop) ->
-                         Printf.sprintf "head %d <=%d trips" l.Loop_bounds.head
-                           l.Loop_bounds.trips)
-                       cost.Cost.loops))
-                 wcet policy.fuel);
-          ]
+        within_fuel
+          (Finding.make ~rule:"bounds/loop-bound" ~severity:Finding.Info
+             ~offset:src
+             (Printf.sprintf
+                "%d loop back-edge%s, every trip count provable (%s): worst \
+                 case %d steps <= fuel %d"
+                (List.length edges)
+                (if List.length edges = 1 then "" else "s")
+                (String.concat ", "
+                   (List.map
+                      (fun (l : Loop_bounds.loop) ->
+                        Printf.sprintf "head %d <=%d trips" l.Loop_bounds.head
+                          l.Loop_bounds.trips)
+                      cost.Cost.loops))
+                wcet policy.fuel))
       else
         let severity =
           if policy.require_bounded then Finding.Error else Finding.Info

@@ -178,6 +178,22 @@ let test_require_bounded () =
   let r = Analyzer.analyze ~policy Samples.xor_checksum in
   checkb "provable loop passes" true (Report.is_clean r)
 
+let test_fuel_exceeded_alone () =
+  (* Regression: a worst case over the fuel was reported as an error and,
+     beside it, as "worst case N steps <= fuel F". *)
+  let policy = { Analyzer.default_policy with Analyzer.fuel = 2 } in
+  let straight = Isa.[ Loadi (0, 1); Loadi (1, 2); Loadi (2, 3); Halt ] in
+  let r = analyze_ops ~policy straight in
+  checkb "fuel exceeded" true (has_rule r "bounds/fuel-exceeded");
+  checkb "rejected" false (Report.is_clean r);
+  checkb "no straight-line info" false (has_rule r "bounds/straight-line");
+  let r = Analyzer.analyze ~policy Samples.xor_checksum in
+  checkb "loop: fuel exceeded" true (has_rule r "bounds/fuel-exceeded");
+  checkb "no loop-bound info" false (has_rule r "bounds/loop-bound");
+  let r = analyze_ops straight in
+  checkb "within the default fuel" true (has_rule r "bounds/straight-line");
+  checkb "not exceeded" false (has_rule r "bounds/fuel-exceeded")
+
 (* --- cost certificates and loop bounds --- *)
 
 let certify_ops ?policy ops = Analyzer.certify ?policy (Isa.encode_program ops)
@@ -386,6 +402,8 @@ let () =
             test_random_leak_is_warn;
           Alcotest.test_case "service whitelist" `Quick test_service_whitelist;
           Alcotest.test_case "require_bounded" `Quick test_require_bounded;
+          Alcotest.test_case "fuel exceeded, no fits-fuel info" `Quick
+            test_fuel_exceeded_alone;
         ] );
       ( "certificates",
         [
