@@ -312,8 +312,8 @@ let prop_stats_merge_is_a_copy =
       List.for_all (fun (s, r) -> stats_mismatch s r = None) [ (a, ra); (b, rb); (m, rm) ])
 
 let test_stats_sorts_large_inputs () =
-  (* Inputs that make a naive quicksort quadratic; at this size that
-     would take minutes. *)
+  (* Inputs that make a naive quicksort quadratic: about 5e9 comparisons
+     each at this size, against about 2e6 for n log n. *)
   let n = 100_000 in
   List.iter
     (fun (name, f) ->
