@@ -5,10 +5,11 @@
     the same mean/stdev columns as the paper's tables.
 
     Samples are kept unboxed in a [Float.Array.t] in insertion order, one
-    word each; the buffer doubles when full, so an accumulator filled by
-    {!add} holds at most two words per sample and one built by {!merge}
-    exactly one. The running sum, sum of squares, minimum and maximum are
-    updated as each sample arrives, and updating them allocates nothing. *)
+    word each. The buffer starts at 16 slots on the first {!add} and
+    doubles when full, so past 16 samples an accumulator filled by {!add}
+    holds under two words per sample; one built by {!merge} holds exactly
+    one. The running sum, sum of squares, minimum and maximum are updated
+    as each sample arrives, and updating them allocates nothing. *)
 
 type t
 
