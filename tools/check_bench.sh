@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Bench regression gate: runs each capacity bench in smoke mode and
-# diffs its JSON against the checked-in baseline, byte for byte.
+# diffs its JSON against the checked-in baseline, byte for byte, then
+# checks the SHA-256 of every virtual-time table against
+# tools/bench_tables.sha256.
 #
 # Smoke runs are deterministic, so a changed byte is a changed result. A
 # pure refactor or speed-up shows no diff; a model change shows exactly
@@ -9,7 +11,14 @@
 # its own headline result and exits 1 if it no longer holds, which
 # still guards a re-captured baseline.
 #
-# Usage: tools/check_bench.sh [bench ...]   (default: all six)
+# The tables are the paper's reproductions (Tables 1-2, Figures 2-3 and
+# the experiments built on them), printed in virtual time only. `micro`
+# and `analyzer` print host time and are not pinned. A change that
+# moves a table on purpose re-captures the manifest in the same commit:
+#   tools/check_bench.sh --update
+#
+# Usage: tools/check_bench.sh [--update | name ...]
+#   (default: all six benches and all twelve tables; a name is either)
 #
 # Run it from anywhere; it cds to the repo root. In CI wrap it with
 # `opam exec --`. All BENCH_*.json outputs are left in the repo root so
@@ -18,18 +27,46 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 dune build bench/main.exe
+bench=_build/default/bench/main.exe
 # The baselines are smoke runs: an exact diff against a full run would
 # mean nothing, so the gate always runs in smoke mode.
 export SEA_BENCH_SMOKE=1
 
-benches=("$@")
-[ ${#benches[@]} -eq 0 ] && benches=(fleet cost vtpm churn backend autoscale)
+all_benches=(fleet cost vtpm churn backend autoscale)
+all_tables=(table1 table2 figure2 figure3 impact concurrency faster-tpm
+  io-loss multicore serving degradation trace)
+
+update=false
+benches=()
+tables=()
+case "${1:-}" in
+  --update)
+    update=true
+    tables=("${all_tables[@]}")
+    ;;
+  "")
+    benches=("${all_benches[@]}")
+    tables=("${all_tables[@]}")
+    ;;
+  *)
+    for name in "$@"; do
+      if [[ " ${all_benches[*]} " == *" $name "* ]]; then
+        benches+=("$name")
+      elif [[ " ${all_tables[*]} " == *" $name "* ]]; then
+        tables+=("$name")
+      else
+        echo "usage: $0 [--update | name ...]; unknown name $name" >&2
+        exit 2
+      fi
+    done
+    ;;
+esac
 
 fail=0
 for b in "${benches[@]}"; do
   echo "=== bench: $b ==="
   rm -f "BENCH_$b.json"
-  if ! dune exec bench/main.exe -- "$b" >/dev/null; then
+  if ! "$bench" "$b" >/dev/null; then
     echo "$b: bench run failed"
     fail=1
   fi
@@ -38,6 +75,36 @@ for b in "${benches[@]}"; do
     fail=1
   fi
 done
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for t in "${tables[@]}"; do
+  code=0
+  "$bench" "$t" >"$tmp/out" || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "$t: table run failed (exit $code)" >&2
+    fail=1
+  fi
+  printf '%s  %s\n' "$(sha256sum "$tmp/out" | cut -d' ' -f1)" "$t"
+done >"$tmp/tables"
+
+if [ ${#tables[@]} -gt 0 ]; then
+  if $update; then
+    if [ "$fail" -eq 0 ]; then
+      cp "$tmp/tables" tools/bench_tables.sha256
+      echo "bench tables: recorded ${#tables[@]} digests in tools/bench_tables.sha256"
+    fi
+  else
+    echo "=== tables: ${tables[*]} ==="
+    for t in "${tables[@]}"; do
+      grep -E "  $t\$" tools/bench_tables.sha256 || true
+    done >"$tmp/pinned"
+    if ! diff -u "$tmp/pinned" "$tmp/tables"; then
+      echo "bench tables: output changed (- pinned, + this tree)"
+      fail=1
+    fi
+  fi
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "bench gate FAILED"
