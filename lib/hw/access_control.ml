@@ -63,8 +63,11 @@ let release t ~secb_id pages =
   transition t pages
     ~check:(function
       | Cpu_only o when o.secb_id = secb_id -> Ok ()
-      | Shared o when o.secb_id = secb_id -> Ok ()
       | None_access o when o.secb_id = secb_id -> Ok ()
+      (* Freeing under a joined CPU would leave it executing a freed
+         PAL: like suspension, release needs a single owner. *)
+      | Shared o when o.secb_id = secb_id ->
+          Error "multicore PAL: other CPUs must leave first"
       | All -> Error "not owned"
       | Cpu_only _ | Shared _ | None_access _ -> Error "owned by another PAL")
     ~next:All

@@ -43,7 +43,9 @@ val resume : t -> secb_id:int -> cpu:int -> int list -> (unit, string) result
     this is the check that makes a forged Measured Flag useless (§5.3.1). *)
 
 val release : t -> secb_id:int -> int list -> (unit, string) result
-(** SFREE/SKILL: owned pages (either executing or suspended) → [All]. *)
+(** SFREE/SKILL: owned pages (executing on one CPU, or suspended) →
+    [All]. Pages [Shared] by joined CPUs are refused, as {!suspend}
+    refuses them: the helpers SLEAVE first. *)
 
 val join : t -> secb_id:int -> cpu:int -> int list -> (unit, string) result
 (** §6 "Multicore PALs": add [cpu] to the set of CPUs allowed on the

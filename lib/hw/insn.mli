@@ -96,8 +96,9 @@ val sfree : Machine.t -> cpu:int -> Secb.t -> (unit, string) result
 (** Clean PAL exit. Must execute from within the PAL (the model checks
     the CPU is running this SECB's PAL — the paper's "SFREE executed by
     other code must fail", §5.5). Releases pages to ALL and moves the
-    sePCR to the Quote state. The PAL is responsible for erasing its own
-    secrets first. *)
+    sePCR to the Quote state. Refused while other CPUs are joined (§6:
+    the last CPU exits), as {!syield} is. The PAL is responsible for
+    erasing its own secrets first. *)
 
 val skill : Machine.t -> Secb.t -> (unit, string) result
 (** Kill a misbehaving, {e suspended} PAL from untrusted code: hardware

@@ -104,6 +104,30 @@ let test_sjoin_sleave_instructions () =
   ignore (ok (Slaunch_session.run_slice s ~cpu:0 ()));
   Slaunch_session.release s
 
+(* SFREE with a helper still joined would free the SECB under the
+   helper, stranding it in the PAL: refused on either CPU, as SYIELD is,
+   until the helper SLEAVEs. *)
+let test_sfree_refused_while_joined () =
+  let m = proposed () in
+  let _, s = launch_worker m ~cpu:0 () in
+  let secb = Slaunch_session.secb s in
+  ok (Insn.sjoin m ~cpu:1 secb);
+  List.iter
+    (fun cpu ->
+      match Insn.sfree m ~cpu secb with
+      | Ok () -> Alcotest.failf "SFREE on CPU %d freed a joined PAL" cpu
+      | Error e ->
+          checkb "refused like SYIELD" true
+            (String.ends_with ~suffix:"other CPUs must leave first" e))
+    [ 0; 1 ];
+  checkb "SECB still live" false secb.Secb.freed;
+  ok (Insn.sleave m ~cpu:1 secb);
+  checkb "helper back to legacy" true ((Machine.cpu m 1).Cpu.status = Cpu.Legacy);
+  ok (Insn.sfree m ~cpu:0 secb);
+  checkb "SECB freed" true secb.Secb.freed;
+  checkb "primary back to legacy" true ((Machine.cpu m 0).Cpu.status = Cpu.Legacy);
+  Slaunch_session.release s
+
 let test_sjoin_requires_executing () =
   let m = proposed () in
   let _, s = launch_worker m ~cpu:0 ~timer:(Time.ms 5.) () in
@@ -387,6 +411,8 @@ let () =
         [
           Alcotest.test_case "SJOIN/SLEAVE" `Quick test_sjoin_sleave_instructions;
           Alcotest.test_case "SJOIN requires executing PAL" `Quick test_sjoin_requires_executing;
+          Alcotest.test_case "SFREE refused while joined" `Quick
+            test_sfree_refused_while_joined;
         ] );
       ( "multicore-session",
         [
