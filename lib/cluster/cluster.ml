@@ -364,7 +364,7 @@ let placement st ~dead =
   (base, host)
 
 (* Move tenant [ti]'s [kind] resident from [src] to [dst] by sealed-state
-   migration, in [dst]'s trace sink. The resumed resident is disposed
+   migration, in [dst]'s trace sink. The resumed resident is discarded
    at once: the next epoch's serve starts from scratch. *)
 let move st ~src ~dst ~source_alive ~blob_available ti kind =
   under_sink st dst (fun () ->
@@ -375,7 +375,7 @@ let move st ~src ~dst ~source_alive ~blob_available ti kind =
           ~tenant:st.tenants.(ti).Workload.name
           ~kind_name:(Workload.kind_name kind) (Workload.resident_pal kind) ()
       in
-      Result.iter Migrate.dispose r;
+      Result.iter (fun r -> Sea_core.Backend.discard r.Migrate.target) r;
       r)
 
 let trace_heartbeat_misses st a =
@@ -444,10 +444,9 @@ let rebalance st ~down ~dead ~base =
       let action =
         match (acfg.Autoscale.policy, st.serve.Server.mode) with
         | _, Server.Current -> `None (* no residents: pure routing *)
-        | Autoscale.Spread, Server.Proposed -> `Spread `Slaunch
+        | Autoscale.Spread, Server.Proposed | _, Server.Sfi ->
+            `Spread (Sea_core.Backend.of_kind st.serve.Server.mode)
         | _, Server.Proposed -> `Migrate
-        | _, Server.Sfi ->
-            `Spread (`Software Sea_core.Backend.(sfi.extra_cost Op_launch))
       in
       let up m = (not down.(m)) && not dead.(m) in
       Array.iteri
@@ -468,12 +467,12 @@ let rebalance st ~down ~dead ~base =
                       | Ok { Migrate.outcome = Migrate.Warm; _ } ->
                           st.warm <- st.warm + 1
                       | Ok _ | Error _ -> st.cold <- st.cold + 1)
-                  | `Spread cost ->
+                  | `Spread backend ->
                       under_sink st dst (fun () ->
                           match
-                            Migrate.respawn ~target:st.machines.(dst)
+                            Migrate.respawn ~backend ~target:st.machines.(dst)
                               ~preemption_timer:st.serve.Server.preemption_timer
-                              ~cost ~tenant:st.tenants.(ti).Workload.name
+                              ~tenant:st.tenants.(ti).Workload.name
                               ~kind_name:(Workload.kind_name kind)
                               (Workload.resident_pal kind) ()
                           with

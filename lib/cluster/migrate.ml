@@ -1,6 +1,5 @@
 open Sea_hw
 open Sea_core
-open Sea_tpm
 
 type outcome = Warm | Cold
 
@@ -8,42 +7,34 @@ type result_t = {
   outcome : outcome;
   torn : bool;
   link_retries : int;
-  target : Slaunch_session.t;
+  target : Backend.instance;
 }
 
-(* Launch a fresh suspended resident of [pal] on [m]: SLAUNCH (claims
-   pages, SECB and an sePCR) under a preemption timer, then one slice so
-   the PAL parks in [Suspend] like any serve-loop resident (without the
-   timer the slice would run the image to completion instead of
-   yielding). *)
-let launch_suspended m ~preemption_timer pal =
-  match Slaunch_session.start m ~cpu:0 ~preemption_timer pal ~input:"" with
+(* Launch a fresh suspended resident of [pal] on [m]: a launch (on
+   proposed hardware, SLAUNCH claims pages, SECB and an sePCR) under a
+   preemption timer, then one slice so the PAL parks in [Suspend] like
+   any serve-loop resident (without the timer the slice would run the
+   image to completion instead of yielding). A resident PAL's work is
+   open-ended, so finishing means the image is not resident-shaped;
+   either failure backs the claim out. *)
+let launch_suspended (backend : Backend.t) m ~preemption_timer pal =
+  match backend.launch m ~cpu:0 ~preemption_timer pal ~input:"" with
   | Error e -> Error e
-  | Ok s -> (
-      match Slaunch_session.run_slice s ~cpu:0 () with
-      | Ok `Yielded -> Ok s
+  | Ok inst -> (
+      match inst.run_slice ~cpu:0 () with
+      | Ok `Yielded -> Ok inst
       | Ok `Finished ->
-          (* A resident PAL's work is open-ended; finishing means the
-             image is not resident-shaped. Back the claim out. *)
-          Slaunch_session.release s;
+          Backend.discard inst;
           Error "migrate: PAL finished instead of suspending"
       | Error e ->
-          ignore (Slaunch_session.kill s);
-          Slaunch_session.release s;
+          Backend.discard inst;
           Error ("migrate: first slice failed: " ^ e))
-
-(* Back out a half-migrated target claim exactly like a failed first
-   SLAUNCH: SKILL erases and releases the pages and frees the sePCR, so
-   a torn transfer leaves no residue in the target's access-control
-   table or sePCR bank. *)
-let backout s =
-  ignore (Slaunch_session.kill s);
-  Slaunch_session.release s
 
 let failover ~source ~target ~link ?(source_alive = true)
     ?(blob_available = true) ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant
     ~kind_name:kname pal () =
   let state_payload = Printf.sprintf "pal-state:%s:%s" tenant kname in
+  let launch m = launch_suspended Backend.proposed m ~preemption_timer pal in
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"churn"
     ~args:(fun () ->
@@ -55,61 +46,43 @@ let failover ~source ~target ~link ?(source_alive = true)
     "migrate"
   @@ fun () ->
   (* 1. Obtain the sealed hand-off blob. Partitioned source: the live
-     protocol — SLAUNCH the resident's code identity, SYIELD it, seal
-     its state bound to the sePCR measurement, SKILL it (the blob now
-     owns the PAL; exactly-once hinges on this ordering). Crashed
-     source: the pre-crash durable checkpoint survived with some luck;
-     otherwise there is nothing to transfer. *)
+     protocol — launch the resident's code identity, park it, seal its
+     state bound to the sePCR measurement, kill it (the blob now owns
+     the PAL; exactly-once hinges on this ordering; a failed seal loses
+     the state). Crashed source: the pre-crash durable checkpoint
+     survived with some luck; otherwise there is nothing to transfer. *)
   let blob =
     if (not source_alive) && not blob_available then None
     else
-      match launch_suspended source ~preemption_timer pal with
+      match launch source with
       | Error _ -> None
-      | Ok s -> (
-          let sealed =
-            match Slaunch_session.sepcr_handle s with
-            | None -> None
-            | Some h -> (
-                let tpm = Machine.tpm_exn source in
-                match
-                  Tpm.retrying tpm (fun () ->
-                      Tpm.seal tpm ~caller:(Tpm.Cpu 0) ~sepcr:h ~pcr_policy:[]
-                        state_payload)
-                with
-                | Ok blob -> Some blob
-                | Error _ -> None)
-          in
-          (* Source residency ends here on every path: seal-then-SKILL
-             on success, plain SKILL (state lost) on a failed seal. *)
-          ignore (Slaunch_session.kill s);
-          Slaunch_session.release s;
-          sealed)
+      | Ok s ->
+          let sealed = s.save_state ~cpu:0 ~tag:state_payload in
+          Backend.discard s;
+          Option.join (Result.to_option sealed)
   in
-  (* 2. Claim the target: a fresh SLAUNCH of the same code identity.
-     Its sePCR now holds the same measurement chain the blob was bound
-     to, so a delivered blob unseals against the target's sePCR. *)
-  match launch_suspended target ~preemption_timer pal with
+  (* 2. Claim the target: a fresh launch of the same code identity. Its
+     sePCR now holds the same measurement chain the blob was bound to,
+     so a delivered blob unseals against the target's sePCR. *)
+  match launch target with
   | Error e -> Error ("target launch: " ^ e)
-  | Ok tsess -> (
-      let cold ~torn ~link_retries =
-        if not torn then
-          Ok { outcome = Cold; torn; link_retries; target = tsess }
-        else begin
-          (* Torn transfer: the blob is gone but the target already
-             claimed pages and an sePCR for a resident it can never
-             warm-resume into a consistent state. Back the claim out,
-             then cold re-launch from scratch. *)
-          backout tsess;
-          Sea_trace.Trace.count target_engine "churn.cold_restarts" 1;
-          match launch_suspended target ~preemption_timer pal with
-          | Error e -> Error ("cold re-launch: " ^ e)
-          | Ok fresh -> Ok { outcome = Cold; torn; link_retries; target = fresh }
-        end
+  | Ok t -> (
+      (* Torn transfer: the blob is gone but the target already claimed
+         pages and an sePCR for a resident it can never warm-resume into
+         a consistent state. Back the claim out exactly like a failed
+         first launch, then cold re-launch from scratch. *)
+      let torn ~link_retries =
+        Backend.discard t;
+        Sea_trace.Trace.count target_engine "churn.cold_restarts" 1;
+        match launch target with
+        | Error e -> Error ("cold re-launch: " ^ e)
+        | Ok fresh ->
+            Ok { outcome = Cold; torn = true; link_retries; target = fresh }
       in
       match blob with
       | None ->
           Sea_trace.Trace.count target_engine "churn.cold_restarts" 1;
-          Ok { outcome = Cold; torn = false; link_retries = 0; target = tsess }
+          Ok { outcome = Cold; torn = false; link_retries = 0; target = t }
       | Some blob -> (
           (* 3. Ship the blob over the lossy link with bounded backoff;
              every attempt (dropped or delivered) charges the target's
@@ -121,34 +94,23 @@ let failover ~source ~target ~link ?(source_alive = true)
                 Link.send link target_engine blob)
           in
           let link_retries = Sea_fault.Retry.retries policy in
-          match sent with
-          | Error _ -> cold ~torn:true ~link_retries
-          | Ok () -> (
-              (* 4. Unseal against the target's sePCR and resume. The
-                 TPM checks the binding: a blob for a different code
-                 identity (different measurement chain) is refused. *)
-              match Slaunch_session.sepcr_handle tsess with
-              | None -> cold ~torn:true ~link_retries
-              | Some h -> (
-                  match
-                    Tpm.unseal (Machine.tpm_exn target) ~caller:(Tpm.Cpu 0)
-                      ~sepcr:h blob
-                  with
-                  | Error _ -> cold ~torn:true ~link_retries
-                  | Ok payload when payload <> state_payload ->
-                      cold ~torn:true ~link_retries
-                  | Ok _ -> (
-                      match Slaunch_session.resume tsess ~cpu:0 with
-                      | Error _ -> cold ~torn:true ~link_retries
-                      | Ok () -> (
-                          match Slaunch_session.run_slice tsess ~cpu:0 () with
-                          | Ok `Yielded ->
-                              Ok { outcome = Warm; torn = false; link_retries;
-                                   target = tsess }
-                          | Ok `Finished | Error _ ->
-                              cold ~torn:true ~link_retries))))))
-
-let dispose r = backout r.target
+          (* 4. Unseal against the target's sePCR and resume. The TPM
+             checks the binding: a blob for a different code identity
+             (different measurement chain) is refused. *)
+          let resumed =
+            let ( let* ) = Result.bind in
+            let* () = sent in
+            let* state = t.load_state ~cpu:0 blob in
+            let* () =
+              if state = state_payload then t.resume ~cpu:0
+              else Error "unsealed a different state"
+            in
+            t.run_slice ~cpu:0 ()
+          in
+          match resumed with
+          | Ok `Yielded ->
+              Ok { outcome = Warm; torn = false; link_retries; target = t }
+          | Ok `Finished | Error _ -> torn ~link_retries))
 
 (* Kill-and-respawn rebalancing (the autoscaler's "spread" policy): the
    source resident is simply discarded and a fresh one launches on the
@@ -156,11 +118,10 @@ let dispose r = backout r.target
    pays a real cold SLAUNCH (claim pages, SECB, an sePCR, hash the
    image) and immediately backs the claim out, charging the true launch
    cost while leaving the serve loop's sePCR bank untouched between
-   epochs. Under a software (SFI) backend the launch is just stub
-   patching and a software measurement — a flat ~25 µs charge to the
-   target's clock. *)
-let respawn ~target ?(preemption_timer = Sea_sim.Time.ms 10.) ~cost ~tenant
-    ~kind_name:kname pal () =
+   epochs. A software backend charges its flat launch cost (SFI: stub
+   patching and a software measurement, ~25 µs) to the target's clock. *)
+let respawn ~(backend : Backend.t) ~target
+    ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant ~kind_name:kname pal () =
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"autoscale"
     ~args:(fun () ->
@@ -170,13 +131,13 @@ let respawn ~target ?(preemption_timer = Sea_sim.Time.ms 10.) ~cost ~tenant
       ])
     "respawn"
   @@ fun () ->
-  match cost with
-  | `Software c ->
-      Sea_sim.Engine.advance target_engine c;
-      Ok ()
-  | `Slaunch -> (
-      match launch_suspended target ~preemption_timer pal with
+  match backend.kind with
+  | Backend.Proposed -> (
+      match launch_suspended backend target ~preemption_timer pal with
       | Error e -> Error ("respawn launch: " ^ e)
-      | Ok s ->
-          backout s;
+      | Ok inst ->
+          Backend.discard inst;
           Ok ())
+  | Backend.Current | Backend.Sfi ->
+      Sea_sim.Engine.advance target_engine (backend.extra_cost Op_launch);
+      Ok ()

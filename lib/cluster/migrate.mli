@@ -1,26 +1,32 @@
 (** Sealed-state PAL failover between fleet machines — the paper's
     §5.4 sePCR seal/unseal run as a real migration protocol.
 
-    A resident SLAUNCH PAL on a failed machine is moved to a survivor:
+    Every step drives a {!Sea_core.Backend.instance} of
+    {!Sea_core.Backend.proposed}, the same value the serve loop keeps
+    its residents as. A resident on a failed machine is moved to a
+    survivor:
 
-    + {b SYIELD} — the source resident parks in [Suspend];
-    + {b seal} — its hand-off state is TPM-sealed bound to the sePCR
-      measurement chain, then the source resident is SKILLed (from this
-      instant the blob {e is} the PAL — exactly-once hinges on the
-      seal-then-SKILL ordering);
+    + {b park} — the source launches the resident's code identity and
+      runs one slice, so it parks in [Suspend] (SLAUNCH, then SYIELD);
+    + {b seal} — [save_state] seals its hand-off state bound to the
+      sePCR measurement chain, then the source instance is discarded
+      (SKILL; from this instant the blob {e is} the PAL — exactly-once
+      hinges on the seal-then-kill ordering);
     + {b transfer} — the blob crosses the lossy {!Link} under bounded
       {!Sea_fault.Retry} backoff;
-    + {b unseal + resume} — the survivor SLAUNCHes the same code
-      identity (its sePCR then carries the same measurement chain), the
-      TPM unseals the blob against it, and the PAL resumes warm.
+    + {b unseal + resume} — the survivor launches and parks the same
+      code identity (its sePCR then carries the same measurement chain),
+      [load_state] unseals the blob against it and must return the state
+      the source sealed, and the instance resumes warm.
 
     A transfer the retries cannot save is {e torn}: the target's
-    already-claimed pages and sePCR are backed out exactly like a failed
-    first SLAUNCH (PR 3's backout), and the PAL is cold re-launched
-    without its state. A crashed source never runs the live protocol —
-    failover falls back to the pre-crash durable checkpoint when one
-    survived, else a cold re-launch. The invariant either way: the PAL
-    ends resident on {e exactly one} machine. *)
+    already-claimed pages and sePCR are backed out with
+    {!Sea_core.Backend.discard}, exactly like a failed first launch,
+    and the PAL is cold re-launched without its state. A crashed source
+    never runs the live protocol — failover falls back to the pre-crash
+    durable checkpoint when one survived, else a cold re-launch. The
+    invariant either way: the PAL ends resident on {e exactly one}
+    machine. *)
 
 type outcome = Warm  (** Sealed state resumed on the survivor. *)
              | Cold  (** Re-launched without state. *)
@@ -31,9 +37,9 @@ type result_t = {
       (** A mid-protocol failure forced a target claim backout before
           the cold re-launch. *)
   link_retries : int;  (** Link re-transmissions burned. *)
-  target : Sea_core.Slaunch_session.t;
+  target : Sea_core.Backend.instance;
       (** The live resident on the target, suspended; the caller owns
-          it ({!dispose} when done). *)
+          it ({!Sea_core.Backend.discard} when done). *)
 }
 
 val failover :
@@ -52,17 +58,14 @@ val failover :
     live protocol — a partitioned machine still seals and ships; false
     models a crash, where [blob_available] decides whether the durable
     pre-crash checkpoint survived. [preemption_timer] (default 10 ms)
-    governs the SLAUNCH slices that park residents in [Suspend].
-    [Error] only when even the cold re-launch cannot claim the target
-    (e.g. no proposed hardware). *)
-
-val dispose : result_t -> unit
-(** SKILL and release the target resident. *)
+    governs the slices that park residents in [Suspend]. [Error] only
+    when even the cold re-launch cannot claim the target (e.g. no
+    proposed hardware). *)
 
 val respawn :
+  backend:Sea_core.Backend.t ->
   target:Sea_hw.Machine.t ->
   ?preemption_timer:Sea_sim.Time.t ->
-  cost:[ `Slaunch | `Software of Sea_sim.Time.t ] ->
   tenant:string ->
   kind_name:string ->
   Sea_core.Pal.t ->
@@ -70,8 +73,9 @@ val respawn :
   (unit, string) result
 (** Kill-and-respawn rebalancing (the autoscaler's spread policy): no
     state moves — a fresh resident simply launches on the target.
-    [`Slaunch] pays a real cold SLAUNCH of [pal] on the target (pages,
-    SECB, sePCR, image hash) and backs the claim out so nothing stays
-    resident between epochs; [`Software c] charges the target's clock a
-    flat [c] (the ~25 µs SFI launch). [Error] only when the SLAUNCH
-    cannot claim the target. *)
+    On {!Sea_core.Backend.proposed} this pays a real cold SLAUNCH of
+    [pal] on the target (pages, SECB, sePCR, image hash) and backs the
+    claim out so nothing stays resident between epochs; any other
+    backend charges the target's clock its flat launch cost
+    ([extra_cost Op_launch]: the ~25 µs SFI launch). [Error] only when
+    the SLAUNCH cannot claim the target. *)

@@ -44,7 +44,7 @@ type instance = {
   kill : unit -> (unit, string) result;
   release : unit -> unit;
   save_state : cpu:int -> tag:string -> (string option, string) result;
-  load_state : cpu:int -> string -> (unit, string) result;
+  load_state : cpu:int -> string -> (string, string) result;
   quote : nonce:string -> (Sea_tpm.Tpm.quote * Time.t, string) result;
 }
 
@@ -75,6 +75,12 @@ type t = {
     (instance, string) result;
 }
 
+(* Only a suspended instance can be killed, and a refused kill changes
+   nothing, so this ends an instance in any state. *)
+let discard inst =
+  ignore (inst.kill ());
+  inst.release ()
+
 (* Drive a resident instance to completion: the preemption loop one-shot
    execution shares with the serving layer, so a yielding image means
    "resume and keep going", not an error. *)
@@ -98,10 +104,7 @@ let drive_oneshot launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal
       let result = go () in
       (* A failed resume leaves the PAL suspended; tear it down so its
          pages (and sePCR, on proposed hardware) are reclaimed. *)
-      (match result with
-      | Error _ when inst.suspended () -> ignore (inst.kill ())
-      | _ -> ());
-      inst.release ();
+      if Result.is_error result then discard inst else inst.release ();
       result
 
 let no_extra_cost (_ : op) = Time.zero
@@ -152,28 +155,21 @@ let proposed_launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input =
                  leaves behind, bound to its sePCR identity. *)
               match Slaunch_session.sepcr_handle s with
               | None -> Ok None
-              | Some h -> (
+              | Some h ->
                   let tpm = Machine.tpm_exn m in
-                  match
-                    Sea_tpm.Tpm.retrying tpm (fun () ->
-                        Sea_tpm.Tpm.seal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
-                          ~sepcr:h ~pcr_policy:[] tag)
-                  with
-                  | Ok blob -> Ok (Some blob)
-                  | Error e -> Error e));
+                  Result.map Option.some
+                    (Sea_tpm.Tpm.retrying tpm (fun () ->
+                         Sea_tpm.Tpm.seal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
+                           ~sepcr:h ~pcr_policy:[] tag)));
           load_state =
             (fun ~cpu blob ->
               match Slaunch_session.sepcr_handle s with
-              | None -> Ok ()
-              | Some h -> (
+              | None -> Error "no sePCR bound"
+              | Some h ->
                   let tpm = Machine.tpm_exn m in
-                  match
-                    Sea_tpm.Tpm.retrying tpm (fun () ->
-                        Sea_tpm.Tpm.unseal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
-                          ~sepcr:h blob)
-                  with
-                  | Ok _ -> Ok ()
-                  | Error e -> Error e));
+                  Sea_tpm.Tpm.retrying tpm (fun () ->
+                      Sea_tpm.Tpm.unseal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
+                        ~sepcr:h blob));
           quote = (fun ~nonce -> Slaunch_session.quote_after_exit s ~nonce);
         }
 
@@ -218,14 +214,8 @@ let sfi_launch m ~cpu ?preemption_timer ?analyze ?tpm_cap pal ~input =
           release = (fun () -> Sfi_session.release s);
           save_state =
             (fun ~cpu ~tag ->
-              match Sfi_session.seal_blob s ~cpu tag with
-              | Ok blob -> Ok (Some blob)
-              | Error e -> Error e);
-          load_state =
-            (fun ~cpu blob ->
-              match Sfi_session.unseal_blob s ~cpu blob with
-              | Ok _ -> Ok ()
-              | Error e -> Error e);
+              Result.map Option.some (Sfi_session.seal_blob s ~cpu tag));
+          load_state = (fun ~cpu blob -> Sfi_session.unseal_blob s ~cpu blob);
           quote = (fun ~nonce -> Sfi_session.quote s ~nonce);
         }
 

@@ -66,14 +66,20 @@ type instance = {
           (eviction, migration). [Ok None] when the backend has nothing
           to bind it to (a proposed-hw session whose sePCR was already
           freed). *)
-  load_state : cpu:int -> string -> (unit, string) result;
+  load_state : cpu:int -> string -> (string, string) result;
       (** Hand a previously saved blob back to a fresh instance of the
-          same PAL; unsealing checks the identity binding. *)
+          same PAL and return the state it unseals to (the [tag] given
+          to {!field-instance.save_state}); unsealing checks the
+          identity binding. *)
   quote :
     nonce:string -> (Sea_tpm.Tpm.quote * Sea_sim.Time.t, string) result;
       (** Attestation for this instance once it is done: the sePCR quote
           on proposed hardware, the boot-chain quote under SFI. *)
 }
+
+val discard : instance -> unit
+(** End an instance whatever its state: kill it (refused, with no
+    effect, unless it is suspended), then release its pages. *)
 
 type t = {
   kind : kind;

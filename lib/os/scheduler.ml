@@ -58,11 +58,11 @@ let run_current (m : Machine.t) jobs window =
         else
           let pal, input = if blob = None then (gen, "") else (use, Option.get blob) in
           let t0 = Engine.now engine in
-          match Session.execute m ~cpu:0 pal ~input with
+          match Backend.current.oneshot m ~cpu:0 pal ~input with
           | Error e -> Error e
-          | Ok outcome ->
+          | Ok output ->
               Stats.add_time stall_intervals (Time.sub (Engine.now engine) t0);
-              chunks_left (n - 1) (Some outcome.Session.output)
+              chunks_left (n - 1) (Some output)
       in
       (match chunks_left j.chunks None with
       | Ok () ->
@@ -121,33 +121,15 @@ let run_proposed (m : Machine.t) jobs window =
       let pal =
         Pal.create ~name:("sched-" ^ j.label) ~code_size:j.code_size
           ~compute_time:total_work (fun services _ ->
-            match services.Pal.seal "final-state" with
-            | Error e -> Error e
-            | Ok blob -> Ok blob)
+            services.Pal.seal "final-state")
       in
-      let outcome =
-        match
-          Slaunch_session.start m ~cpu ~preemption_timer:j.chunk_work pal ~input:""
-        with
-        | Error e -> Error e
-        | Ok session ->
-            let rec drive () =
-              match Slaunch_session.run_slice session ~cpu () with
-              | Error e -> Error e
-              | Ok `Finished -> Ok ()
-              | Ok `Yielded -> (
-                  (* The OS runs legacy work on this core between slices;
-                     the PAL's own cost is just the switch pair. *)
-                  match Slaunch_session.resume session ~cpu with
-                  | Error e -> Error e
-                  | Ok () -> drive ())
-            in
-            let r = drive () in
-            Slaunch_session.release session;
-            r
-      in
-      (match outcome with
-      | Ok () ->
+      (* The OS runs legacy work on this core between slices; the PAL's
+         own cost is just the switch pair. *)
+      (match
+         Backend.proposed.oneshot m ~cpu ~preemption_timer:j.chunk_work pal
+           ~input:""
+       with
+      | Ok _ ->
           incr completed;
           Stats.add latencies (Time.to_ms (Time.sub (Engine.now engine) arrival))
       | Error _ -> incr failed);

@@ -377,18 +377,12 @@ let evict st ~t =
       Hashtbl.remove st.residents vkey;
       wait
 
-(* Kill and release a resident that is being thrown away anyway: a
-   failed kill changes nothing about that. *)
-let discard res =
-  (match res.inst.Backend.kill () with Ok () -> () | Error _ -> ());
-  res.inst.Backend.release ()
-
 (* Drop a broken or suspect resident: the next request for this key
    takes a clean cold start instead of warm-hitting a broken session. *)
 let quarantine st k =
   match Hashtbl.find_opt st.residents k with
   | Some res ->
-      discard res;
+      Backend.discard res.inst;
       Hashtbl.remove st.residents k
   | None -> ()
 
@@ -424,7 +418,7 @@ let resident_for st ~core ~t ~wait r k =
       (match Hashtbl.find_opt st.sealed k with
       | Some blob -> (
           match inst.Backend.load_state ~cpu:core blob with
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error e -> fail ("reloading durable state: " ^ e))
       | None -> ());
       let res = { inst; busy_until = t; last_core = core; last_used = t } in
@@ -665,7 +659,7 @@ let finish st =
           (0, 0, Time.zero) bs
   in
   (* Tear down: kill any remaining residents so the machine is clean. *)
-  Hashtbl.iter (fun _ res -> discard res) st.residents;
+  Hashtbl.iter (fun _ res -> Backend.discard res.inst) st.residents;
   Hashtbl.reset st.residents;
   (* Drain the anchor pipeline (post-window: accounting is already cut)
      so the hardware PCR covers every state change before the plan is

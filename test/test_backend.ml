@@ -264,7 +264,8 @@ let test_backend_save_load_state () =
   let inst2 =
     ok (Backend.sfi.Backend.launch m ~cpu:0 (keeper 0) ~input:"")
   in
-  ok (inst2.Backend.load_state ~cpu:0 blob);
+  checks "unseals the saved state" "durable"
+    (ok (inst2.Backend.load_state ~cpu:0 blob));
   inst2.Backend.release ();
   checki "balanced" 0 (Hashtbl.length m.Machine.allocated)
 

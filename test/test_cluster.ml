@@ -543,8 +543,7 @@ let test_migration_atomicity () =
               | Ok r ->
                   (* Resident on the target, exactly once... *)
                   checkb (ctx ^ ": target suspended") true
-                    (Sea_core.Slaunch_session.state r.Migrate.target
-                    = Sea_core.Lifecycle.Suspend);
+                    (r.Migrate.target.Sea_core.Backend.suspended ());
                   (* ...and nowhere on the source: every claim the
                      protocol made there is back out. *)
                   checki (ctx ^ ": source sePCRs restored") s_sepcr
@@ -554,10 +553,10 @@ let test_migration_atomicity () =
                   (if r.Migrate.torn then
                      checkb (ctx ^ ": torn implies cold") true
                        (r.Migrate.outcome = Migrate.Cold));
-                  Migrate.dispose r;
-                  checki (ctx ^ ": target sePCRs restored after dispose")
+                  Sea_core.Backend.discard r.Migrate.target;
+                  checki (ctx ^ ": target sePCRs restored after discard")
                     t_sepcr (free_sepcrs target);
-                  checki (ctx ^ ": target pages restored after dispose")
+                  checki (ctx ^ ": target pages restored after discard")
                     t_pages (free_pages target))
             [ true; false ])
         [ 0.; 0.5; 0.9 ])
