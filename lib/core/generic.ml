@@ -4,7 +4,11 @@ open Sea_crypto
    Flicker-style applications of §4.1: the sealed state must unseal in a
    later session, which requires the later session to carry the same
    measurement — so the code identity has to be shared. *)
-let shared_behavior ~secret_size ~reseal services input =
+(* The working-state size at which the paper's Broadcom Seal anchor
+   (20.01 ms) sits. *)
+let secret_size = 256
+
+let shared_behavior ~reseal services input =
   if String.length input = 0 then begin
     (* Gen: create application data and seal it for later use. Key material
        is derived on the CPU (cheap) rather than via TPM GetRandom, as the
@@ -25,15 +29,15 @@ let shared_behavior ~secret_size ~reseal services input =
         if reseal then services.Pal.seal updated else Ok (Sha1.digest secret)
   end
 
-let make ~code_size ~secret_size ~reseal ~compute_time ~code =
+let make ~code_size ~reseal ~compute_time ~code =
   (* One name + size = one measurement for both entry points. *)
   Pal.create ~name:"generic-gen-use" ~code_size ?compute_time ?code
-    (shared_behavior ~secret_size ~reseal)
+    (shared_behavior ~reseal)
 
-let pal_gen ?(code_size = 64 * 1024) ?(secret_size = 256) () =
-  make ~code_size ~secret_size ~reseal:false ~compute_time:None ~code:None
+let pal_gen ?(code_size = 64 * 1024) () =
+  make ~code_size ~reseal:false ~compute_time:None ~code:None
 
 let pal_use ?(code_size = 64 * 1024) ?(reseal = true) ?compute_time ?code () =
-  make ~code_size ~secret_size:256 ~reseal ~compute_time ~code
+  make ~code_size ~reseal ~compute_time ~code
 
 let secret_of_use_output secret = Sha1.digest secret

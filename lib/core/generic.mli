@@ -9,10 +9,10 @@
     Figure 2's bars are exactly the overhead breakdowns of running these
     two PALs (plus a Quote). *)
 
-val pal_gen : ?code_size:int -> ?secret_size:int -> unit -> Pal.t
+val pal_gen : ?code_size:int -> unit -> Pal.t
 (** Output: the sealed blob (to be stored by the untrusted OS and fed to a
-    later PAL Use). [secret_size] defaults to 256 bytes — the working-state
-    size at which the paper's Broadcom Seal anchor (20.01 ms) sits. *)
+    later PAL Use). The secret is 256 bytes — the working-state size at
+    which the paper's Broadcom Seal anchor (20.01 ms) sits. *)
 
 val pal_use :
   ?code_size:int ->

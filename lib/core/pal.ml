@@ -68,11 +68,11 @@ let analysis_runs () =
    Session and the proposed Slaunch_session), and run strictly before
    pages are allocated or the TPM touched: an image that [Enforce]
    rejects is never measured. *)
-let preflight ?policy ?(analyze = Sea_analysis.Analyzer.Off) ?on_report t =
+let preflight ?(analyze = Sea_analysis.Analyzer.Off) ?on_report t =
   match analyze with
   | Sea_analysis.Analyzer.Off -> Ok ()
   | Sea_analysis.Analyzer.WarnOnly | Sea_analysis.Analyzer.Enforce -> (
-      let report, _ = analyzed ?policy t in
+      let report, _ = analyzed t in
       (match on_report with Some f -> f report | None -> ());
       match (analyze, Sea_analysis.Report.errors report) with
       | Sea_analysis.Analyzer.Enforce, f :: _ ->

@@ -72,7 +72,6 @@ val of_code :
     filler. Size limits as in {!create}. *)
 
 val preflight :
-  ?policy:Sea_analysis.Analyzer.policy ->
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
   t ->

@@ -43,12 +43,11 @@ let suspend_cost (m : Machine.t) =
 
 let resume_cost = Time.us 30.
 
-let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?tpm_cap
-    pal ~input =
+let execute (m : Machine.t) ~cpu ?analyze ?on_report ?tpm_cap pal ~input =
   match
     (* Analyzed before the OS is suspended, pages claimed or the TPM
        touched: an image the gate refuses is never measured. *)
-    ( Pal.preflight ?policy:analysis_policy ?analyze ?on_report pal,
+    ( Pal.preflight ?analyze ?on_report pal,
       m.Machine.tpm )
   with
   | Error e, _ -> Error e

@@ -40,7 +40,6 @@ val execute :
   Sea_hw.Machine.t ->
   cpu:int ->
   ?analyze:Sea_analysis.Analyzer.gate ->
-  ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->

@@ -27,7 +27,6 @@ type t = {
   machine : Machine.t;
   pal : Pal.t;
   input : string;
-  profile : profile;
   pages : int list;
   preemption_timer : Time.t option;
   session_id : int;
@@ -58,19 +57,18 @@ let step t ev =
 
 let charge t d = Engine.advance t.machine.Machine.engine d
 
-let charge_hash t n = charge t (Time.scale t.profile.hash_per_byte n)
+let charge_hash t n = charge t (Time.scale default_profile.hash_per_byte n)
 
 let with_span t name f =
   Sea_trace.Trace.with_span t.machine.Machine.engine ~cat:"backend"
     ~args:(fun () -> [ ("pal", Sea_trace.Trace.Str t.pal.Pal.name) ])
     name f
 
-let start (m : Machine.t) ~cpu:_ ?preemption_timer
-    ?(profile = default_profile) ?analyze ?analysis_policy ?on_report ?tpm_cap
+let start (m : Machine.t) ~cpu:_ ?preemption_timer ?analyze ?on_report ?tpm_cap
     pal ~input =
   (* Same contract as SLAUNCH: a refused image is never loaded or
      measured. *)
-  match Pal.preflight ?policy:analysis_policy ?analyze ?on_report pal with
+  match Pal.preflight ?analyze ?on_report pal with
   | Error e -> Error e
   | Ok () ->
       let pages = Machine.alloc_pages m (Pal.pages_needed pal) in
@@ -81,7 +79,6 @@ let start (m : Machine.t) ~cpu:_ ?preemption_timer
           machine = m;
           pal;
           input;
-          profile;
           pages;
           preemption_timer;
           session_id = Machine.fresh_secb_id m;
@@ -101,7 +98,7 @@ let start (m : Machine.t) ~cpu:_ ?preemption_timer
       with_span t "sfi-launch" (fun () ->
           (* Stub patching + page tables, then the software loader
              measurement over the code bytes. No bus, no TPM. *)
-          charge t profile.launch_base;
+          charge t default_profile.launch_base;
           charge_hash t (Pal.code_size pal));
       step t Lifecycle.Ev_protected;
       step t Lifecycle.Ev_measured;
@@ -124,8 +121,8 @@ let retrying t f =
 
 let seal_blob t ~cpu data =
   charge t
-    (Time.add t.profile.seal_base
-       (Time.scale t.profile.seal_per_byte (String.length data)));
+    (Time.add default_profile.seal_base
+       (Time.scale default_profile.seal_per_byte (String.length data)));
   match t.tpm_cap with
   | Some cap ->
       retrying t (fun () ->
@@ -146,8 +143,8 @@ let seal_blob t ~cpu data =
 
 let unseal_blob t ~cpu blob =
   charge t
-    (Time.add t.profile.unseal_base
-       (Time.scale t.profile.unseal_per_byte (String.length blob)));
+    (Time.add default_profile.unseal_base
+       (Time.scale default_profile.unseal_per_byte (String.length blob)));
   match t.tpm_cap with
   | Some cap ->
       retrying t (fun () ->
@@ -209,7 +206,7 @@ let run_slice t ~cpu ?budget () =
          exit back to the host — the entirety of the yield cost. *)
       charge t budget;
       t.remaining <- Time.sub t.remaining budget;
-      charge t t.profile.transition;
+      charge t default_profile.transition;
       step t Lifecycle.Ev_yield;
       Ok `Yielded
     end
@@ -222,7 +219,7 @@ let run_slice t ~cpu ?budget () =
       | Error e -> t.behavior_error <- Some e);
       (* Final exit: the monitor scrubs nothing yet (pages are reused on
          release), it just crosses the boundary once. *)
-      charge t t.profile.transition;
+      charge t default_profile.transition;
       step t Lifecycle.Ev_sfree;
       match t.behavior_error with
       | Some e -> Error ("PAL behaviour failed: " ^ e)
@@ -234,7 +231,7 @@ let resume t ~cpu:_ =
   if t.state <> Lifecycle.Suspend then Error "PAL is not suspended"
   else begin
     with_span t "sfi-resume" @@ fun () ->
-    charge t t.profile.transition;
+    charge t default_profile.transition;
     step t Lifecycle.Ev_slaunch_resume;
     Ok ()
   end
@@ -243,7 +240,7 @@ let kill t =
   if t.state <> Lifecycle.Suspend then Error "kill targets a suspended PAL"
   else begin
     with_span t "sfi-kill" @@ fun () ->
-    charge t t.profile.transition;
+    charge t default_profile.transition;
     step t Lifecycle.Ev_skill;
     Ok ()
   end

@@ -18,8 +18,8 @@
     monitor's own AEAD vault otherwise. There is no sePCR bank and hence
     no sePCR scarcity: any number of SFI PALs stay resident at once.
 
-    All costs are charged in virtual time from a {!profile}; the machine's
-    TPM, bus and late-launch hardware are never touched on the
+    All costs are charged in virtual time from {!default_profile}; the
+    machine's TPM, bus and late-launch hardware are never touched on the
     launch/yield/resume path, so this backend also runs on TPM-less
     machines (Tyan). *)
 
@@ -42,8 +42,9 @@ type profile = {
 }
 
 val default_profile : profile
-(** 1.4 µs transitions (a VM exit + entry on post-2008 hardware), 25 µs
-    launch base, ~1 ns/byte hashing, µs-class software seal/unseal. *)
+(** The costs every SFI session charges: 1.4 µs transitions (a VM exit +
+    entry on post-2008 hardware), 25 µs launch base, ~1 ns/byte hashing,
+    µs-class software seal/unseal. *)
 
 type t
 
@@ -51,9 +52,7 @@ val start :
   Sea_hw.Machine.t ->
   cpu:int ->
   ?preemption_timer:Sea_sim.Time.t ->
-  ?profile:profile ->
   ?analyze:Sea_analysis.Analyzer.gate ->
-  ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->

@@ -31,14 +31,14 @@ let step t ev =
   | Ok s -> t.state <- s
   | Error e -> invalid_arg ("Slaunch_session: " ^ e)
 
-let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?analysis_policy
-    ?on_report ?tpm_cap pal ~input =
+let start (m : Machine.t) ~cpu ?preemption_timer ?analyze ?on_report ?tpm_cap
+    pal ~input =
   if not m.Machine.config.Machine.proposed then
     Error "this machine lacks the proposed hardware"
   else begin
     (* The static-analysis gate runs before SECB allocation and SLAUNCH:
        a refused image is never protected, measured or executed. *)
-    match Pal.preflight ?policy:analysis_policy ?analyze ?on_report pal with
+    match Pal.preflight ?analyze ?on_report pal with
     | Error e -> Error e
     | Ok () ->
     let page_count = 1 + Pal.pages_needed pal in

@@ -19,7 +19,6 @@ val start :
   cpu:int ->
   ?preemption_timer:Sea_sim.Time.t ->
   ?analyze:Sea_analysis.Analyzer.gate ->
-  ?analysis_policy:Sea_analysis.Analyzer.policy ->
   ?on_report:(Sea_analysis.Report.t -> unit) ->
   ?tpm_cap:Sea_tpm.Cap.t ->
   Pal.t ->

@@ -88,10 +88,10 @@ let random_prime ~bits drbg =
   in
   go ()
 
-let generate ?(e = 65537) ~bits drbg =
+let generate ~bits drbg =
   if bits < 32 then invalid_arg "Rsa.generate: modulus too small";
   let open Bignum in
-  let e_big = of_int e in
+  let e_big = of_int 65537 in
   let half = bits / 2 in
   let rec go () =
     let p = random_prime ~bits:half drbg in

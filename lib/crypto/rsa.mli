@@ -29,9 +29,9 @@ val make_private :
     [d] and the CRT fields derived from them. [None] unless [p] and [q]
     exceed 1, [p·q = n] and [q] is invertible modulo [p]. *)
 
-val generate : ?e:int -> bits:int -> Drbg.t -> private_key
+val generate : bits:int -> Drbg.t -> private_key
 (** [generate ~bits drbg] creates a key with a modulus of exactly [bits]
-    bits ([bits >= 32]). The default public exponent is 65537. *)
+    bits ([bits >= 32]) and public exponent 65537. *)
 
 val key_bytes : public -> int
 (** Modulus length in bytes. *)
