@@ -10,15 +10,15 @@ type result_t = {
   target : Backend.instance;
 }
 
-(* Launch a fresh suspended resident of [pal] on [m]: a launch (on
-   proposed hardware, SLAUNCH claims pages, SECB and an sePCR) under a
-   preemption timer, then one slice so the PAL parks in [Suspend] like
-   any serve-loop resident (without the timer the slice would run the
-   image to completion instead of yielding). A resident PAL's work is
-   open-ended, so finishing means the image is not resident-shaped;
-   either failure backs the claim out. *)
-let launch_suspended (backend : Backend.t) m ~preemption_timer pal =
-  match backend.launch m ~cpu:0 ~preemption_timer pal ~input:"" with
+(* Launch a fresh suspended resident of [pal] on [m]: SLAUNCH (claims
+   pages, SECB and an sePCR) under a preemption timer, then one slice so
+   the PAL parks in [Suspend] like any serve-loop resident (without the
+   timer the slice would run the image to completion instead of
+   yielding). A resident PAL's work is open-ended, so finishing means
+   the image is not resident-shaped; either failure backs the claim
+   out. *)
+let launch_suspended m ~preemption_timer pal =
+  match Backend.proposed.launch m ~cpu:0 ~preemption_timer pal ~input:"" with
   | Error e -> Error e
   | Ok inst -> (
       match inst.run_slice ~cpu:0 () with
@@ -34,7 +34,7 @@ let failover ~source ~target ~link ?(source_alive = true)
     ?(blob_available = true) ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant
     ~kind_name:kname pal () =
   let state_payload = Printf.sprintf "pal-state:%s:%s" tenant kname in
-  let launch m = launch_suspended Backend.proposed m ~preemption_timer pal in
+  let launch m = launch_suspended m ~preemption_timer pal in
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"churn"
     ~args:(fun () ->
@@ -133,7 +133,7 @@ let respawn ~(backend : Backend.t) ~target
   @@ fun () ->
   match backend.kind with
   | Backend.Proposed -> (
-      match launch_suspended backend target ~preemption_timer pal with
+      match launch_suspended target ~preemption_timer pal with
       | Error e -> Error ("respawn launch: " ^ e)
       | Ok inst ->
           Backend.discard inst;

@@ -1,13 +1,13 @@
 open Sea_crypto
 
-(* Gen and Use are two entry commands of the SAME binary, exactly as in the
-   Flicker-style applications of §4.1: the sealed state must unseal in a
-   later session, which requires the later session to carry the same
-   measurement — so the code identity has to be shared. *)
 (* The working-state size at which the paper's Broadcom Seal anchor
    (20.01 ms) sits. *)
 let secret_size = 256
 
+(* Gen and Use are two entry commands of the SAME binary, exactly as in the
+   Flicker-style applications of §4.1: the sealed state must unseal in a
+   later session, which requires the later session to carry the same
+   measurement — so the code identity has to be shared. *)
 let shared_behavior ~reseal services input =
   if String.length input = 0 then begin
     (* Gen: create application data and seal it for later use. Key material
