@@ -426,6 +426,69 @@ let test_different_seeds_differ () =
   checkb "different seeds give different traffic" true
     (Report.render (go 1L) <> Report.render (go 2L))
 
+(* --- pre-drawn arrivals beside the event heap --- *)
+
+(* The server serves pre-drawn arrivals from [Arrivals] and everything
+   else from a small heap. Draining both must give exactly the order of
+   one [Event_queue] into which the same trains were pushed, tenant by
+   tenant, before any event of serving. Instants come from a narrow
+   range, so they repeat within a tenant and across tenants; after each
+   pop the script pushes events at the popped instant or after it (a
+   delay of 0 included) into the heap and the reference alike. *)
+let prop_arrivals_merge_order =
+  let trains =
+    QCheck.(
+      list_of_size Gen.(int_range 0 5)
+        (list_of_size Gen.(int_range 0 12) (int_bound 8)))
+  and script =
+    QCheck.(
+      list_of_size Gen.(int_range 0 60)
+        (list_of_size Gen.(int_range 0 3) (int_bound 3)))
+  in
+  QCheck.Test.make ~name:"run and heap drain in single-heap order" ~count:500
+    (QCheck.pair trains script) (fun (trains, script) ->
+      let reference = Event_queue.create () and heap = Event_queue.create () in
+      let drawn = Arrivals.builder () in
+      List.iteri
+        (fun tenant train ->
+          List.iteri
+            (fun draw time ->
+              let kind = List.nth Workload.kinds ((tenant + draw) mod 3) in
+              let client = if tenant mod 2 = 0 then None else Some draw in
+              Event_queue.push reference ~time (`Drawn (tenant, kind, client));
+              Arrivals.add drawn ~time ~tenant ~kind ~client)
+            (List.sort compare train))
+        trains;
+      let run = Arrivals.run drawn in
+      let pop_merged () =
+        if Arrivals.due run heap then begin
+          let ev =
+            `Drawn (Arrivals.tenant run, Arrivals.kind run, Arrivals.client run)
+          in
+          let t = Arrivals.time run in
+          Arrivals.advance run;
+          Some (t, ev)
+        end
+        else Event_queue.pop heap
+      in
+      let rec drain n script =
+        match (Event_queue.pop reference, pop_merged ()) with
+        | None, None -> true
+        | Some (t, ev), Some got when got = (t, ev) ->
+            let delays, rest =
+              match script with d :: rest -> (d, rest) | [] -> ([], [])
+            in
+            List.iteri
+              (fun j d ->
+                let ev = `Pushed (n, j) in
+                Event_queue.push reference ~time:(t + d) ev;
+                Event_queue.push heap ~time:(t + d) ev)
+              delays;
+            drain (n + 1) rest
+        | _ -> false
+      in
+      drain 0 script)
+
 (* --- analysis gate and cost-aware admission --- *)
 
 let test_analysis_cache_exactly_once () =
@@ -678,6 +741,8 @@ let () =
           Alcotest.test_case "shed with zero think terminates" `Quick
             test_closed_loop_shed_with_zero_think_terminates;
         ] );
+      ( "arrivals",
+        [ QCheck_alcotest.to_alcotest prop_arrivals_merge_order ] );
       ( "end-to-end",
         [
           Alcotest.test_case "per-tenant accounting" `Quick
