@@ -30,37 +30,54 @@ let launch_suspended m ~preemption_timer pal =
           Backend.discard inst;
           Error ("migrate: first slice failed: " ^ e))
 
-let failover ~source ~target ~link ?(source_alive = true)
-    ?(blob_available = true) ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant
-    ~kind_name:kname pal () =
-  let state_payload = Printf.sprintf "pal-state:%s:%s" tenant kname in
+type handoff = {
+  tenant : string;
+  kind_name : string;
+  source_alive : bool;
+  blob : string option;
+}
+
+let state_payload h = Printf.sprintf "pal-state:%s:%s" h.tenant h.kind_name
+
+(* 1. Obtain the sealed hand-off blob, on the source. Partitioned source:
+   the live protocol — launch the resident's code identity, park it,
+   seal its state bound to the sePCR measurement, kill it (the blob now
+   owns the PAL; exactly-once hinges on this ordering; a failed seal
+   loses the state). Crashed source: the pre-crash durable checkpoint
+   survived with some luck; otherwise there is nothing to transfer. *)
+let seal_out ~source ?(source_alive = true) ?(blob_available = true)
+    ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant ~kind_name pal () =
+  let h = { tenant; kind_name; source_alive; blob = None } in
+  if (not source_alive) && not blob_available then h
+  else
+    Sea_trace.Trace.with_span (Machine.engine source) ~cat:"churn"
+      ~args:(fun () ->
+        [
+          ("tenant", Sea_trace.Trace.Str tenant);
+          ("kind", Sea_trace.Trace.Str kind_name);
+          ("source_alive", Sea_trace.Trace.Bool source_alive);
+        ])
+      "seal-out"
+    @@ fun () ->
+    match launch_suspended source ~preemption_timer pal with
+    | Error _ -> h
+    | Ok s ->
+        let sealed = s.save_state ~cpu:0 ~tag:(state_payload h) in
+        Backend.discard s;
+        { h with blob = Option.join (Result.to_option sealed) }
+
+let failover ~target ~link ?(preemption_timer = Sea_sim.Time.ms 10.) pal h =
   let launch m = launch_suspended m ~preemption_timer pal in
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"churn"
     ~args:(fun () ->
       [
-        ("tenant", Sea_trace.Trace.Str tenant);
-        ("kind", Sea_trace.Trace.Str kname);
-        ("source_alive", Sea_trace.Trace.Bool source_alive);
+        ("tenant", Sea_trace.Trace.Str h.tenant);
+        ("kind", Sea_trace.Trace.Str h.kind_name);
+        ("source_alive", Sea_trace.Trace.Bool h.source_alive);
       ])
     "migrate"
   @@ fun () ->
-  (* 1. Obtain the sealed hand-off blob. Partitioned source: the live
-     protocol — launch the resident's code identity, park it, seal its
-     state bound to the sePCR measurement, kill it (the blob now owns
-     the PAL; exactly-once hinges on this ordering; a failed seal loses
-     the state). Crashed source: the pre-crash durable checkpoint
-     survived with some luck; otherwise there is nothing to transfer. *)
-  let blob =
-    if (not source_alive) && not blob_available then None
-    else
-      match launch source with
-      | Error _ -> None
-      | Ok s ->
-          let sealed = s.save_state ~cpu:0 ~tag:state_payload in
-          Backend.discard s;
-          Option.join (Result.to_option sealed)
-  in
   (* 2. Claim the target: a fresh launch of the same code identity. Its
      sePCR now holds the same measurement chain the blob was bound to,
      so a delivered blob unseals against the target's sePCR. *)
@@ -79,7 +96,7 @@ let failover ~source ~target ~link ?(source_alive = true)
         | Ok fresh ->
             Ok { outcome = Cold; torn = true; link_retries; target = fresh }
       in
-      match blob with
+      match h.blob with
       | None ->
           Sea_trace.Trace.count target_engine "churn.cold_restarts" 1;
           Ok { outcome = Cold; torn = false; link_retries = 0; target = t }
@@ -102,7 +119,7 @@ let failover ~source ~target ~link ?(source_alive = true)
             let* () = sent in
             let* state = t.load_state ~cpu:0 blob in
             let* () =
-              if state = state_payload then t.resume ~cpu:0
+              if state = state_payload h then t.resume ~cpu:0
               else Error "unsealed a different state"
             in
             t.run_slice ~cpu:0 ()

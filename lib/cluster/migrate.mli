@@ -19,6 +19,11 @@
       [load_state] unseals the blob against it and must return the state
       the source sealed, and the instance resumes warm.
 
+    Park and seal are {!seal_out}, on the source's clock; transfer,
+    unseal and resume are {!failover}, on the target's. A caller that
+    traces each machine into its own sink runs each half under its
+    machine's sink, so no span nests under another machine's clock.
+
     A transfer the retries cannot save is {e torn}: the target's
     already-claimed pages and sePCR are backed out with
     {!Sea_core.Backend.discard}, exactly like a failed first launch,
@@ -42,10 +47,12 @@ type result_t = {
           it ({!Sea_core.Backend.discard} when done). *)
 }
 
-val failover :
+type handoff
+(** What the source hands the target: the sealed blob, when one exists,
+    and whose resident it is. *)
+
+val seal_out :
   source:Sea_hw.Machine.t ->
-  target:Sea_hw.Machine.t ->
-  link:Link.t ->
   ?source_alive:bool ->
   ?blob_available:bool ->
   ?preemption_timer:Sea_sim.Time.t ->
@@ -53,14 +60,28 @@ val failover :
   kind_name:string ->
   Sea_core.Pal.t ->
   unit ->
+  handoff
+(** The source's half: park and seal, then discard the source instance,
+    all on the source's clock inside a ["seal-out"] span. Run it under
+    the source machine's trace sink. [source_alive] (default true)
+    selects the live protocol — a partitioned machine still seals and
+    ships; false models a crash, where [blob_available] decides whether
+    the durable pre-crash checkpoint survived (if not, the source is not
+    touched and nothing is shipped). [preemption_timer] (default 10 ms)
+    governs the slice that parks the resident in [Suspend]. *)
+
+val failover :
+  target:Sea_hw.Machine.t ->
+  link:Link.t ->
+  ?preemption_timer:Sea_sim.Time.t ->
+  Sea_core.Pal.t ->
+  handoff ->
   (result_t, string) result
-(** Fail one resident over. [source_alive] (default true) selects the
-    live protocol — a partitioned machine still seals and ships; false
-    models a crash, where [blob_available] decides whether the durable
-    pre-crash checkpoint survived. [preemption_timer] (default 10 ms)
-    governs the slices that park residents in [Suspend]. [Error] only
-    when even the cold re-launch cannot claim the target (e.g. no
-    proposed hardware). *)
+(** The target's half — transfer, unseal and resume, or the cold
+    re-launch — on the target's clock inside a ["migrate"] span. Run it
+    under the target machine's trace sink. [Error] only when even the
+    cold re-launch cannot claim the target (e.g. no proposed
+    hardware). *)
 
 val respawn :
   backend:Sea_core.Backend.t ->

@@ -534,11 +534,12 @@ let test_migration_atomicity () =
                 Printf.sprintf "seed %d loss %.1f alive %b" seed loss
                   source_alive
               in
-              match
-                Migrate.failover ~source ~target ~link ~source_alive
+              let handoff =
+                Migrate.seal_out ~source ~source_alive
                   ~blob_available:(seed mod 2 = 0) ~tenant:"t" ~kind_name:"ssh"
                   pal ()
-              with
+              in
+              match Migrate.failover ~target ~link pal handoff with
               | Error e -> Alcotest.fail (ctx ^ ": resident on neither: " ^ e)
               | Ok r ->
                   (* Resident on the target, exactly once... *)
@@ -586,6 +587,74 @@ let test_churn_trace_gated () =
   in
   checkb "heartbeat misses traced" true (contains_sub all_json "heartbeat-miss");
   checkb "migration spans traced" true (contains_sub all_json "migrate")
+
+(* Spans of a machine's exported trace, checked for nesting: every B/E
+   span must begin and end inside its parent. Returns the spans seen and
+   those that stick out. The export writes one event per line. *)
+let span_nesting json =
+  let stack = ref [] and spans = ref 0 and bad = ref 0 in
+  List.iter
+    (fun line ->
+      match
+        Scanf.sscanf line "{\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%f"
+          (fun ph _ _ ts -> (ph, ts))
+      with
+      | 'B', ts ->
+          (match !stack with
+          | (b, _) :: _ when ts < b -> incr bad
+          | _ -> ());
+          stack := (ts, ref ts) :: !stack
+      | 'E', ts -> (
+          incr spans;
+          match !stack with
+          | (_, last_child_end) :: rest ->
+              if !last_child_end > ts then incr bad;
+              (match rest with
+              | (_, parent_child_end) :: _ ->
+                  parent_child_end := Float.max !parent_child_end ts
+              | [] -> ());
+              stack := rest
+          | [] -> incr bad)
+      | _ -> ()
+      | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> ())
+    (String.split_on_char '\n' json);
+  (!spans, !bad)
+
+let test_migration_spans_nest () =
+  (* A migration's source half (the source's SLAUNCH, seal and SKILL,
+     timed by the source's clock) must land in the source's trace, not
+     inside the target's migrate span. This is the fleet of
+     [sea_cli cluster --mode proposed --machines 3 --seed 12 --duration 3
+     --rate 48 --mttf 2 --partition 0.5 --link-loss 0.2 --vtpm 2]. *)
+  let sinks = Array.init 3 (fun _ -> Sea_trace.Trace.create ()) in
+  let plan =
+    Sea_fault.Machine_fault.spec ~mttf:(Time.s 2.) ~mttr:(Time.s 2.)
+      ~partition:(Time.s 0.5) ~link_loss:0.2 ~seed:1 ()
+  in
+  let r =
+    match
+      Cluster.run ~seed:12L
+        ~trace:(fun i -> sinks.(i))
+        ~churn:(Cluster.churn plan ())
+        (Cluster.config ~machines:3 ())
+        ~machine_config:proposed_config
+        ~serve:
+          (Server.config ~vtpm:2 ~mode:Server.Proposed
+             ~duration:(Time.s 3.) ())
+        (Workload.preset ~tenants:9 (`Open 48.))
+    with
+    | Ok fr -> fr
+    | Error e -> Alcotest.fail ("traced churn fleet failed: " ^ e)
+  in
+  (match r.Fleet_report.churn with
+  | Some c -> checkb "warm migrations happened" true (c.Fleet_report.migrations > 0)
+  | None -> Alcotest.fail "churn stats missing");
+  Array.iteri
+    (fun i sink ->
+      let spans, bad = span_nesting (Sea_trace.Trace.export_json sink) in
+      checkb (Printf.sprintf "machine %d traced spans" i) true (spans > 0);
+      checki (Printf.sprintf "machine %d spans outside their parent" i) 0 bad)
+    sinks
 
 let test_churn_validation () =
   let plan = Sea_fault.Machine_fault.spec ~mttf:(Time.s 2.) () in
@@ -1003,6 +1072,8 @@ let () =
             `Quick test_migration_atomicity;
           Alcotest.test_case "tracing is observer-only" `Quick
             test_churn_trace_gated;
+          Alcotest.test_case "migration spans nest per machine" `Quick
+            test_migration_spans_nest;
           Alcotest.test_case "churn validation" `Quick test_churn_validation;
         ] );
       ( "autoscale",
