@@ -115,15 +115,14 @@ let render t =
 
 (* --- content-addressed cache -------------------------------------- *)
 
-(* Keyed on a caller-supplied content digest (the PAL measurement)
-   plus the analysis policy, so one process analyzes each distinct
-   image once per policy. The lock is held across the analysis
-   closure: concurrent first launches of one image on several domains
-   must still count as a single analysis, and the analyzer is pure
-   CPU with no lock-ordering partners. *)
+(* Keyed on a caller-supplied content digest (the PAL measurement), so
+   one process analyzes each distinct image once. The lock is held
+   across the analysis closure: concurrent first launches of one image
+   on several domains must still count as a single analysis, and the
+   analyzer is pure CPU with no lock-ordering partners. *)
 
-type 'a cache = {
-  table : (string * 'a, Report.t * t) Hashtbl.t;
+type cache = {
+  table : (string, Report.t * t) Hashtbl.t;
   lock : Mutex.t;
   mutable runs : int;
 }
@@ -131,17 +130,17 @@ type 'a cache = {
 let create_cache () =
   { table = Hashtbl.create 16; lock = Mutex.create (); runs = 0 }
 
-let cache_find_or cache ~digest ~policy f =
+let cache_find_or cache ~digest f =
   Mutex.lock cache.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock cache.lock)
     (fun () ->
-      match Hashtbl.find_opt cache.table (digest, policy) with
+      match Hashtbl.find_opt cache.table digest with
       | Some hit -> hit
       | None ->
           let result = f () in
           cache.runs <- cache.runs + 1;
-          Hashtbl.replace cache.table (digest, policy) result;
+          Hashtbl.replace cache.table digest result;
           result)
 
 let cache_runs cache =

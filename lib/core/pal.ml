@@ -48,18 +48,18 @@ let of_code ~name ~code ?(compute_time = Sea_sim.Time.zero) behavior =
 
 let measurement t = t.measurement
 
-(* Content-addressed analysis cache, keyed on the measurement digest
-   (plus policy): the analyzer is a pure function of the measured
-   bytes, so one process never analyzes the same image twice — what
-   makes the preflight gate affordable on the serving hot path, where
-   the same few images launch thousands of times. *)
+(* Content-addressed analysis cache, keyed on the measurement digest:
+   the analyzer (under its default policy) is a pure function of the
+   measured bytes, so one process never analyzes the same image twice —
+   what makes the preflight gate affordable on the serving hot path,
+   where the same few images launch thousands of times. *)
 let analysis_cache = Sea_analysis.Certificate.create_cache ()
 
-let analyzed ?policy t =
+let analyzed t =
   Sea_analysis.Certificate.cache_find_or analysis_cache ~digest:(measurement t)
-    ~policy (fun () -> Sea_analysis.Analyzer.certify ?policy t.code)
+    (fun () -> Sea_analysis.Analyzer.certify t.code)
 
-let certificate ?policy t = snd (analyzed ?policy t)
+let certificate t = snd (analyzed t)
 
 let analysis_runs () =
   Sea_analysis.Certificate.cache_runs analysis_cache

@@ -86,11 +86,10 @@ val preflight :
     {!create} generates will not decode.
 
     Analysis results are cached process-wide, content-addressed by the
-    PAL's {!measurement} (and policy): launching the same image a
-    thousand times under [WarnOnly]/[Enforce] costs one analysis. *)
+    PAL's {!measurement}: launching the same image a thousand times
+    under [WarnOnly]/[Enforce] costs one analysis. *)
 
-val certificate :
-  ?policy:Sea_analysis.Analyzer.policy -> t -> Sea_analysis.Certificate.t
+val certificate : t -> Sea_analysis.Certificate.t
 (** The static cost certificate for the measured bytes, through the
     same content-addressed cache as {!preflight}. *)
 
