@@ -5,7 +5,10 @@ open Sea_sim
    hold no pointers, so the GC never scans them and a store is a plain
    write. Fixed-size chunks grow the store without copying it: doubling
    one array per column instead left the outgrown copies behind as
-   garbage and raised proposed-steady's peak RSS by about 20 MB. *)
+   garbage and raised proposed-steady's peak RSS by about 20 MB. They
+   are small because most runs are: a fleet epoch's serve draws a few
+   dozen arrivals, and 4096-slot chunks raised fleet-churn's peak RSS by
+   about 3 MB. *)
 type columns = {
   time : Time.t array;
   tenant : int array;
@@ -13,7 +16,7 @@ type columns = {
   client : int array;
 }
 
-let chunk_bits = 12
+let chunk_bits = 8
 let chunk = 1 lsl chunk_bits
 
 let columns () =

@@ -432,14 +432,17 @@ let test_different_seeds_differ () =
    else from a small heap. Draining both must give exactly the order of
    one [Event_queue] into which the same trains were pushed, tenant by
    tenant, before any event of serving. Instants come from a narrow
-   range, so they repeat within a tenant and across tenants; after each
-   pop the script pushes events at the popped instant or after it (a
-   delay of 0 included) into the heap and the reference alike. *)
+   range, so they repeat within a tenant and across tenants; some trains
+   are long enough to span several of the run's storage chunks. After
+   each pop the script pushes events at the popped instant or after it
+   (a delay of 0 included) into the heap and the reference alike. *)
 let prop_arrivals_merge_order =
   let trains =
     QCheck.(
       list_of_size Gen.(int_range 0 5)
-        (list_of_size Gen.(int_range 0 12) (int_bound 8)))
+        (list_of_size
+           Gen.(frequency [ (4, int_range 0 12); (1, int_range 200 700) ])
+           (int_bound 8)))
   and script =
     QCheck.(
       list_of_size Gen.(int_range 0 60)
