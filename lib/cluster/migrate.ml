@@ -39,6 +39,13 @@ type handoff = {
 
 let state_payload h = Printf.sprintf "pal-state:%s:%s" h.tenant h.kind_name
 
+let span_args h () =
+  [
+    ("tenant", Sea_trace.Trace.Str h.tenant);
+    ("kind", Sea_trace.Trace.Str h.kind_name);
+    ("source_alive", Sea_trace.Trace.Bool h.source_alive);
+  ]
+
 (* 1. Obtain the sealed hand-off blob, on the source. Partitioned source:
    the live protocol — launch the resident's code identity, park it,
    seal its state bound to the sePCR measurement, kill it (the blob now
@@ -51,13 +58,7 @@ let seal_out ~source ?(source_alive = true) ?(blob_available = true)
   if (not source_alive) && not blob_available then h
   else
     Sea_trace.Trace.with_span (Machine.engine source) ~cat:"churn"
-      ~args:(fun () ->
-        [
-          ("tenant", Sea_trace.Trace.Str tenant);
-          ("kind", Sea_trace.Trace.Str kind_name);
-          ("source_alive", Sea_trace.Trace.Bool source_alive);
-        ])
-      "seal-out"
+      ~args:(span_args h) "seal-out"
     @@ fun () ->
     match launch_suspended source ~preemption_timer pal with
     | Error _ -> h
@@ -69,13 +70,7 @@ let seal_out ~source ?(source_alive = true) ?(blob_available = true)
 let failover ~target ~link ?(preemption_timer = Sea_sim.Time.ms 10.) pal h =
   let launch m = launch_suspended m ~preemption_timer pal in
   let target_engine = Machine.engine target in
-  Sea_trace.Trace.with_span target_engine ~cat:"churn"
-    ~args:(fun () ->
-      [
-        ("tenant", Sea_trace.Trace.Str h.tenant);
-        ("kind", Sea_trace.Trace.Str h.kind_name);
-        ("source_alive", Sea_trace.Trace.Bool h.source_alive);
-      ])
+  Sea_trace.Trace.with_span target_engine ~cat:"churn" ~args:(span_args h)
     "migrate"
   @@ fun () ->
   (* 2. Claim the target: a fresh launch of the same code identity. Its

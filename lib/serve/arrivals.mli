@@ -6,10 +6,10 @@
     about 144k arrivals per machine for a 360 s window at 400 req/s.
     Kept in an {!Sea_sim.Event_queue}, every one of the run's pops would
     sift through that many boxed entries (about 1 µs per event, host
-    time). Here they sit in flat int arrays instead, merged once into a
-    single run that is read by a cursor (tens of ns per event), and the
-    heap keeps only what serving pushes: a handful of core releases and
-    reissues at a time.
+    time). Here they sit in chunks of flat int arrays instead, read in
+    time order by a merge of the tenants' trains (tens of ns per event),
+    and the heap keeps only what serving pushes: a handful of core
+    releases and reissues at a time.
 
     The two are drained as one stream by {!due}. The order is exactly
     the one a single [Event_queue] would give had the arrivals been

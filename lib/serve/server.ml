@@ -253,11 +253,13 @@ let create (m : Machine.t) cfg tenant_list =
 (* --- phase 2: draw arrivals. Open-loop tenants: the whole Poisson
    arrival train is drawn up front from the tenant's stream. Closed-loop
    tenants: one initial arrival per client; reissues are scheduled as
-   responses land. What is drawn here is kept out of the event heap, in
-   one time-ordered run of flat arrays ({!Arrivals}): a 360 s train is
-   about 144k arrivals per machine, and popping each through a heap that
-   size cost about 1 µs of host time per event, where reading the run
-   costs tens of ns. The heap keeps only what serving pushes. --- *)
+   responses land. What is drawn here lives outside the event heap, in
+   one time-ordered run of flat arrays ({!Arrivals}), and the heap keeps
+   only what serving pushes. A 360 s train is about 144k arrivals per
+   machine: replaying its pushes and pops through one heap cost 0.97–1.15
+   µs of host time per event, and reading it from a sorted run beside a
+   small heap 33–44 ns. At one instant the run goes first (see
+   [event_loop]). --- *)
 
 (* An arrival scheduled while serving: a closed-loop reissue, a parked
    client's retry or a breaker retry. *)
@@ -271,9 +273,9 @@ let push_arrival st tenant client time =
            client;
          })
 
-(* Each tenant's stream is drawn from in the same order as when every
-   arrival went through [push_arrival]: interval, then kind, with the
-   same cut at the finish line. *)
+(* An arrival's kind is drawn from its tenant's stream right after its
+   interval, and only before the finish line: each seed's traffic is
+   this sequence of draws. *)
 let draw_arrivals st =
   let drawn = Arrivals.builder () in
   let add tenant client time =
@@ -299,7 +301,8 @@ let draw_arrivals st =
     st.tenants;
   Arrivals.run drawn
 
-(* --- phase 3: execution and the event loop --- *)
+(* --- phase 3: execution and the event loop, which drains the pre-drawn
+   run and the heap as one stream, the run first at equal instants. --- *)
 
 let next_seq st k =
   let s = st.seqs.(k) in
