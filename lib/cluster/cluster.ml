@@ -368,19 +368,17 @@ let placement st ~dead =
    [src]'s clock, the rest on [dst]'s. The resumed resident is discarded
    at once: the next epoch's serve starts from scratch. *)
 let move st ~src ~dst ~source_alive ~blob_available ti kind =
-  let pal = Workload.resident_pal kind
-  and preemption_timer = st.serve.Server.preemption_timer in
+  let pal = Workload.resident_pal kind in
   let handoff =
     under_sink st src (fun () ->
         Migrate.seal_out ~source:st.machines.(src) ~source_alive
-          ~blob_available ~preemption_timer
+          ~blob_available ~preemption_timer:st.serve.Server.preemption_timer
           ~tenant:st.tenants.(ti).Workload.name
           ~kind_name:(Workload.kind_name kind) pal ())
   in
   under_sink st dst (fun () ->
       let r =
-        Migrate.failover ~target:st.machines.(dst) ~link:st.link
-          ~preemption_timer pal handoff
+        Migrate.failover ~target:st.machines.(dst) ~link:st.link pal handoff
       in
       Result.iter (fun r -> Sea_core.Backend.discard r.Migrate.target) r;
       r)

@@ -34,6 +34,7 @@ type handoff = {
   tenant : string;
   kind_name : string;
   source_alive : bool;
+  preemption_timer : Sea_sim.Time.t;
   blob : string option;
 }
 
@@ -54,7 +55,9 @@ let span_args h () =
    survived with some luck; otherwise there is nothing to transfer. *)
 let seal_out ~source ?(source_alive = true) ?(blob_available = true)
     ?(preemption_timer = Sea_sim.Time.ms 10.) ~tenant ~kind_name pal () =
-  let h = { tenant; kind_name; source_alive; blob = None } in
+  let h =
+    { tenant; kind_name; source_alive; preemption_timer; blob = None }
+  in
   if (not source_alive) && not blob_available then h
   else
     Sea_trace.Trace.with_span (Machine.engine source) ~cat:"churn"
@@ -67,8 +70,8 @@ let seal_out ~source ?(source_alive = true) ?(blob_available = true)
         Backend.discard s;
         { h with blob = Option.join (Result.to_option sealed) }
 
-let failover ~target ~link ?(preemption_timer = Sea_sim.Time.ms 10.) pal h =
-  let launch m = launch_suspended m ~preemption_timer pal in
+let failover ~target ~link pal h =
+  let launch m = launch_suspended m ~preemption_timer:h.preemption_timer pal in
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"churn" ~args:(span_args h)
     "migrate"

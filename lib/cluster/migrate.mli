@@ -49,7 +49,8 @@ type result_t = {
 
 type handoff
 (** What the source hands the target: the sealed blob, when one exists,
-    and whose resident it is. *)
+    whose resident it is, and the preemption timer both halves park it
+    with. *)
 
 val seal_out :
   source:Sea_hw.Machine.t ->
@@ -68,12 +69,12 @@ val seal_out :
     ships; false models a crash, where [blob_available] decides whether
     the durable pre-crash checkpoint survived (if not, the source is not
     touched and nothing is shipped). [preemption_timer] (default 10 ms)
-    governs the slice that parks the resident in [Suspend]. *)
+    governs the slices that park the resident in [Suspend], here and in
+    {!failover}. *)
 
 val failover :
   target:Sea_hw.Machine.t ->
   link:Link.t ->
-  ?preemption_timer:Sea_sim.Time.t ->
   Sea_core.Pal.t ->
   handoff ->
   (result_t, string) result

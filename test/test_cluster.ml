@@ -647,7 +647,8 @@ let test_migration_spans_nest () =
     | Error e -> Alcotest.fail ("traced churn fleet failed: " ^ e)
   in
   (match r.Fleet_report.churn with
-  | Some c -> checkb "warm migrations happened" true (c.Fleet_report.migrations > 0)
+  | Some c ->
+      checkb "warm migrations happened" true (c.Fleet_report.migrations > 0)
   | None -> Alcotest.fail "churn stats missing");
   Array.iteri
     (fun i sink ->
