@@ -47,8 +47,8 @@ val due : t -> 'a Sea_sim.Event_queue.t -> bool
     is not exhausted, and the heap is empty or its earliest event is not
     strictly earlier. Ties go to the run. *)
 
-(** The next arrival's fields; only meaningful while {!due} (or the run
-    is not exhausted). *)
+(** The next arrival's fields. The run must not be exhausted: read them
+    when {!due} holds. *)
 
 val time : t -> Sea_sim.Time.t
 val tenant : t -> int
